@@ -30,7 +30,7 @@ from .homology import (
     second_syzygy_engine,
     t2_space,
 )
-from .linalg import rank
+from .linalg import mat_mul, rank
 
 VERDICTS = (
     "TNT-elementary",
@@ -174,16 +174,7 @@ class TNTData:
                     f"dimension {dim0} at bound {start} vs {dim1} at {start + 1}"
                 )
             self.cutoff_checked = True
-            flat = self.hom.flat_rows()
-            nonneg_rows = []
-            for vec in coeffs:
-                row = [f.zero] * width
-                for c, h in zip(vec, flat):
-                    if c != f.zero:
-                        for t in range(width):
-                            if h[t] != f.zero:
-                                row[t] = f.add(row[t], f.mul(c, h[t]))
-                nonneg_rows.append(row)
+            nonneg_rows = mat_mul(coeffs, self.hom.flat_rows(), f)
             self.dim_nonneg = len(nonneg_rows)
         self.dim_total = total
         self.dim_negative = total - self.dim_nonneg

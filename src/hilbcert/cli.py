@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -125,10 +124,7 @@ def cmd_hunt(args) -> int:
         base_regularity=args.base_regularity,
         seed=args.seed,
     )
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HILB_THREADS", "1"))
-    summary = screen(shape, args.count, out_dir=args.out, threads=threads)
+    summary = screen(shape, args.count, out_dir=args.out)
     for line in summary.pop("log"):
         print(line)
     report = dict(shape.describe())
@@ -185,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default=None, help="base ideal file")
     p.add_argument("--base-regularity", type=int, default=None,
                    help="regularity bound of the base ideal (user input)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: HILB_THREADS or 1)")
     p.set_defaults(func=cmd_hunt)
     return parser
 

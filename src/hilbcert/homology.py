@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from .artinian import ArtinianQuotient, FiniteModule, series_string, submodule
 from .groebner import IdealPresentation, ModuleGroebner
-from .linalg import left_nullspace, matvec, nullspace, rank, row_space_basis, rref
+from .linalg import (
+    independent_modulo,
+    mat_mul,
+    matvec,
+    nullspace,
+    rank,
+    row_space_basis,
+)
 from .modules import FreeModule, ModuleVector
 from .rings import Polynomial
 
@@ -233,13 +240,24 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
     if m == 0:
         return 0, []
 
+    # row j * dim + b, column i: coordinate b of generator j's image under
+    # the i-th basis hom
+    image_matrix = [list(col) for col in zip(*(h.flatten() for h in hom.elements))]
+    zero_block = [[f.zero] * quotient.dim for _ in range(quotient.dim)]
+
     def values_on(poly):
-        """Value of each basis hom on an ideal element, via its lift."""
+        """Values of the basis homs on an ideal element, via its lift: row t
+        holds coordinate t of every value.  Each lift coordinate's action
+        matrix is built once and applied to all basis homs together."""
         nf, lift = ideal.normal_form(poly)
         if not nf.is_zero():
             raise ValueError("filtration test vector is not in the ideal")
-        lift_vec = ideal.syzygy_module.from_polys(lift)
-        return [evaluate(lift_vec, h.images, quotient) for h in hom.elements]
+        action = [[] for _ in range(quotient.dim)]
+        for p in lift:
+            block = zero_block if p.is_zero() else quotient.poly_matrix(p)
+            for row, block_row in zip(action, block):
+                row.extend(block_row)
+        return mat_mul(action, image_matrix, f)
 
     constraints = []  # rows over the m hom coefficients
 
@@ -247,9 +265,7 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
     # ideal and are generated by one weight-window of monomials
     for d in range(n0, n0 + wmax):
         for e in ring.monomials_of_degree(d):
-            vals = values_on(ring.monomial(e))
-            for t in range(quotient.dim):
-                row = [vals[i][t] for i in range(m)]
+            for row in values_on(ring.monomial(e)):
                 if any(x != f.zero for x in row):
                     constraints.append(row)
 
@@ -284,15 +300,7 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
                     poly = poly + ring.monomial(e).scale(c)
             if poly.is_zero():
                 continue
-            vals = values_on(poly)
-            for lam in functionals:
-                row = []
-                for i in range(m):
-                    acc = f.zero
-                    for t, l in enumerate(lam):
-                        if l != f.zero and vals[i][t] != f.zero:
-                            acc = f.add(acc, f.mul(l, vals[i][t]))
-                    row.append(acc)
+            for row in mat_mul(functionals, values_on(poly), f):
                 if any(x != f.zero for x in row):
                     constraints.append(row)
 
@@ -303,6 +311,14 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
 
 
 # -- Ext^1 and the obstruction subspace ------------------------------------
+
+
+def _by_degree(pairs):
+    """Group (degree, item) pairs into {degree: [items]}, keeping order."""
+    out = {}
+    for d, x in pairs:
+        out.setdefault(d, []).append(x)
+    return out
 
 
 class Ext1Space:
@@ -317,46 +333,18 @@ class Ext1Space:
 
     def _compute(self):
         f = self.syz_hom.target.ring.field
-        width = len(self.syz_hom.source.gen_degrees) * self.syz_hom.target.dim
-        self.width = width
-        if self.graded:
-            dims = {}
-            reps = []
-            by_deg = {}
-            for h in self.syz_hom.elements:
-                by_deg.setdefault(h.degree, []).append(h)
-            img_by_deg = {}
-            for d, row in self.image_rows:
-                img_by_deg.setdefault(d, []).append(row)
-            for d, elems in sorted(by_deg.items()):
-                img = img_by_deg.get(d, [])
-                img_basis = row_space_basis(img, width, f)
-                count = 0
-                current = list(img_basis)
-                r0 = len(current)
-                for h in elems:
-                    trial = current + [h.flatten()]
-                    if rank(trial, width, f) > len(current):
-                        current = row_space_basis(trial, width, f)
-                        reps.append((d, h))
-                        count += 1
-                if count:
-                    dims[d] = count
-            self.dims = dims
-            self.representatives = reps
-        else:
-            img_rows = [row for _, row in self.image_rows]
-            img_basis = row_space_basis(img_rows, width, f)
-            current = list(img_basis)
-            reps = []
-            for h in self.syz_hom.elements:
-                trial = current + [h.flatten()]
-                if rank(trial, width, f) > len(current):
-                    current = row_space_basis(trial, width, f)
-                    reps.append((None, h))
-            self.dims = {None: len(reps)} if reps else {}
-            self.representatives = reps
-        self.image_basis_rows = None
+        self.width = len(self.syz_hom.source.gen_degrees) * self.syz_hom.target.dim
+        img_by_deg = _by_degree(self.image_rows)
+        # ungraded data has the single degree None
+        by_deg = _by_degree((h.degree, h) for h in self.syz_hom.elements)
+        self.dims = {}
+        self.representatives = []
+        for d, elems in sorted(by_deg.items()):
+            new = independent_modulo(img_by_deg.get(d, []),
+                                     [h.flatten() for h in elems], self.width, f)
+            if new:
+                self.dims[d] = len(new)
+                self.representatives.extend((d, elems[i]) for i in new)
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -489,18 +477,12 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
             raise AssertionError("trivial syzygy outside the syzygy module")
         koszul_lifts.append((v.degree(), lift))
     dims = {}
-    by_deg = {}
-    for d, h in ext1.representatives:
-        by_deg.setdefault(d, []).append(h)
-    img_by_deg = {}
-    for d, row in ext1.image_rows:
-        img_by_deg.setdefault(d, []).append(row)
-    for d, reps in sorted(by_deg.items()):
+    img_by_deg = _by_degree(ext1.image_rows)
+    for d, reps in sorted(_by_degree(ext1.representatives).items()):
         # condition: some representative modulo the image kills every
         # trivial syzygy; count independent such classes
         img = img_by_deg.get(d, [])
         candidates = [h.flatten() for h in reps] + img
-        width = ext1.width
         # evaluation of each candidate on the trivial syzygies
         eval_rows = []
         for vec in candidates:
@@ -520,19 +502,10 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
             for i in range(len(candidates))
         ]
         # dimension of (kernel + image)/image
-        img_rank = rank(img, width, f) if img else 0
-        kern_vectors = []
-        for coeffs in kern:
-            vec = [f.zero] * width
-            for c, cand in zip(coeffs, candidates):
-                if c != f.zero:
-                    for t in range(width):
-                        if cand[t] != f.zero:
-                            vec[t] = f.add(vec[t], f.mul(c, cand[t]))
-            kern_vectors.append(vec)
-        total = rank(kern_vectors + img, width, f)
-        if total - img_rank:
-            dims[d] = total - img_rank
+        dim = len(independent_modulo(img, mat_mul(kern, candidates, f),
+                                     ext1.width, f))
+        if dim:
+            dims[d] = dim
     return T2Space(dims, graded=True)
 
 
@@ -548,19 +521,9 @@ class DiagramMaps:
     """
 
 
-def _group_by_degree(elements):
-    out = {}
-    for h in elements:
-        out.setdefault(h.degree, []).append(h)
-    return out
-
-
 def _rank_by_degree(pairs, width, field):
     """pairs: list of (degree, flat row); rank of the span per degree."""
-    rows_by_deg = {}
-    for d, row in pairs:
-        rows_by_deg.setdefault(d, []).append(row)
-    return {d: rank(rows, width, field) for d, rows in rows_by_deg.items()}
+    return {d: rank(rows, width, field) for d, rows in _by_degree(pairs).items()}
 
 
 def _connecting_target(M, combined, m_lifts, j_pres, target):
@@ -589,20 +552,17 @@ def _connecting_target(M, combined, m_lifts, j_pres, target):
     # exactly when its flat representative lies in the span of the maps
     # extending to the free cover of I_R (same flat coordinates: the
     # relations of J are indexed by the syzygies of the combined ideal)
-    img_ir = _restriction_rows(combined.gen_degrees, combined.syzygies, target, True)
-    img_by_deg = {}
-    for d, row in img_ir:
-        img_by_deg.setdefault(d, []).append(row)
+    img_by_deg = _by_degree(
+        _restriction_rows(combined.gen_degrees, combined.syzygies, target, True)
+    )
     width_s = len(combined.syzygies) * target.dim
-    reps_by_deg = {}
-    for d, h in e_jn.representatives:
-        reps_by_deg.setdefault(d, []).append(h.flatten())
+    reps_by_deg = _by_degree((d, h.flatten()) for d, h in e_jn.representatives)
     induced_kernel = {}
     connecting_surjective = {}
     for d, dim_e in e_jn.dims.items():
-        img = img_by_deg.get(d, [])
-        base = rank(img, width_s, f)
-        image_rank = rank(reps_by_deg.get(d, []) + img, width_s, f) - base
+        image_rank = len(independent_modulo(
+            img_by_deg.get(d, []), reps_by_deg.get(d, []), width_s, f
+        ))
         induced_kernel[d] = dim_e - image_rank
         connecting_surjective[d] = image_rank == 0
     # exactness bookkeeping along the five-term sequence, per degree

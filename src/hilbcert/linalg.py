@@ -135,6 +135,37 @@ def row_space_basis(rows, ncols, field):
     return rref(rows, ncols, field)[0]
 
 
+class _Columns:
+    """The transpose of a list of rows, one column at a time: `rref`'s own
+    working copy is then the only full copy of it."""
+
+    def __init__(self, rows, ncols):
+        self.rows = rows
+        self.ncols = ncols
+
+    def __len__(self):
+        return self.ncols
+
+    def __iter__(self):
+        for j in range(self.ncols):
+            yield [row[j] for row in self.rows]
+
+
+def independent_modulo(base, candidates, ncols, field):
+    """Indices of the candidates outside the span of `base` and of the
+    candidates before them: a greedy basis of the candidates modulo `base`.
+
+    One elimination of the stacked rows' transpose: its pivot columns are
+    the rows independent of all rows before them.
+    """
+    stack = list(base) + list(candidates)
+    if not stack or not ncols:
+        return []
+    _, pivots = rref(_Columns(stack, ncols), len(stack), field)
+    offset = len(base)
+    return [c - offset for c in pivots if c >= offset]
+
+
 def solve(rows, ncols, rhs, field):
     """One solution x of M x = rhs, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -146,13 +177,6 @@ def solve(rows, ncols, rhs, field):
     for i, c in enumerate(pivots):
         x[c] = red[i][ncols]
     return x
-
-
-def in_row_space(basis_rows, ncols, vec, field) -> bool:
-    if all(x == field.zero for x in vec):
-        return True
-    r0 = rank(basis_rows, ncols, field)
-    return rank(list(basis_rows) + [list(vec)], ncols, field) == r0
 
 
 def coordinates_in_rows(basis_rows, ncols, vec, field):

@@ -11,14 +11,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
-from .artinian import ArtinianQuotient
 from .certify import elementary_certificate
 from .fields import GF, field_name
 from .groebner import IdealPresentation, ModuleGroebner, poly_to_vector
 from .modules import FreeModule
-from .homology import Presentation, hom_space
 from .linalg import rank
 from .parsing import IdealFile
 from .rings import GradedRing
@@ -135,12 +132,15 @@ def _trim_generators(ring, gens):
     return kept
 
 
-def candidate_fingerprint(ideal, quotient, hom) -> str:
+def candidate_fingerprint(cert) -> str:
+    """Field, Hilbert function and tangent series, read off the
+    certificate's checks (the total tangent dimension when ungraded)."""
+    tnt = cert.check("trivial-negative-tangents").payload
     return "|".join(
         [
-            field_name(ideal.ring.field),
-            quotient.hilbert_function().series(),
-            hom.series() if hom.graded else f"total:{hom.total_dim()}",
+            cert.fingerprint["field"],
+            cert.check("finite-colength").payload["hilbert_function"],
+            tnt.get("hom_series", f"total:{tnt['dim_hom']}"),
         ]
     )
 
@@ -148,15 +148,13 @@ def candidate_fingerprint(ideal, quotient, hom) -> str:
 def _screen_one(shape, seed):
     ideal = random_candidate(shape, seed)
     try:
-        quotient = ArtinianQuotient(ideal)
-        hom = hom_space(Presentation.of_ideal(ideal), quotient)
         cert = elementary_certificate(ideal)
     except (ValueError, ArithmeticError) as exc:
         return {"seed": seed, "error": str(exc)}
     return {
         "seed": seed,
         "verdict": cert.verdict,
-        "fingerprint": candidate_fingerprint(ideal, quotient, hom),
+        "fingerprint": candidate_fingerprint(cert),
         "ideal": ideal,
         "certificate": cert,
     }
@@ -165,15 +163,10 @@ def _screen_one(shape, seed):
 HIT_VERDICTS = ("TNT-elementary", "smooth-elementary")
 
 
-def screen(shape: CandidateShape, count: int, out_dir=None, threads=1):
-    """Run the template `count` times; returns an order-independent summary
-    and persists deduplicated hits when an output directory is given."""
-    seeds = [shape.seed + i for i in range(count)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda s: _screen_one(shape, s), seeds))
-    else:
-        outcomes = [_screen_one(shape, s) for s in seeds]
+def screen(shape: CandidateShape, count: int, out_dir=None):
+    """Run the template `count` times; returns a summary and persists
+    deduplicated hits when an output directory is given."""
+    outcomes = [_screen_one(shape, shape.seed + i) for i in range(count)]
     summary = {
         "count": count,
         "errors": 0,
@@ -183,7 +176,7 @@ def screen(shape: CandidateShape, count: int, out_dir=None, threads=1):
     }
     hits_by_fp = {}
     log = []
-    for o in sorted(outcomes, key=lambda o: o["seed"]):
+    for o in outcomes:
         if "error" in o:
             summary["errors"] += 1
             log.append(f"seed {o['seed']}: error: {o['error']}")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hilbcert.fields import GF, QQ, field_from_name, field_name
 from hilbcert.linalg import (
     identity,
+    independent_modulo,
     left_nullspace,
     mat_mul,
     matvec,
@@ -15,6 +17,8 @@ from hilbcert.linalg import (
     rref,
     solve,
 )
+
+from loop_reference import independent_greedy
 
 F7 = GF(7)
 F2 = GF(2)
@@ -97,3 +101,46 @@ def test_rank_nullity(rows_int):
         rows = [[field.of(v) for v in row] for row in rows_int]
         r = rank(rows, 3, field)
         assert r + len(nullspace(rows, 3, field)) == 3
+
+
+def _random_stack(rng, field, nrows, ncols):
+    """Rows with zero rows, repeats and combinations of earlier rows mixed
+    in, so that stacks are often rank-deficient."""
+    def entry():
+        if field.char == 0:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return field.of(rng.randrange(field.char))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([field.zero] * ncols)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.5 and rows:
+            a, b, c = rng.choice(rows), rng.choice(rows), entry()
+            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(101), QQ])
+def test_independent_modulo_matches_greedy_rank_loop(field):
+    rng = random.Random(2024 + field.char)
+    for _ in range(150):
+        ncols = rng.randint(0, 6)
+        stack = _random_stack(rng, field, rng.randint(0, 10), ncols)
+        cut = rng.randint(0, len(stack))
+        base, cands = stack[:cut], stack[cut:]
+        got = independent_modulo(base, cands, ncols, field)
+        assert got == independent_greedy(base, cands, ncols, field)
+        assert len(got) == rank(stack, ncols, field) - rank(base, ncols, field)
+    zero_rows = [[field.zero] * 3] * 2
+    one = [field.one, field.zero, field.zero]
+    assert independent_modulo([], [], 3, field) == []
+    assert independent_modulo([one], [], 3, field) == []
+    assert independent_modulo([], [[], []], 0, field) == []
+    assert independent_modulo([], zero_rows + [one, one], 3, field) == [2]
+    assert independent_modulo([one], [one] + zero_rows, 3, field) == []

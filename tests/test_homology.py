@@ -15,6 +15,7 @@ from hilbcert.homology import (
 from hilbcert.parsing import parse_polynomial
 from hilbcert.rings import GradedRing
 
+import loop_reference
 import oracle
 
 F101 = GF(101)
@@ -127,3 +128,37 @@ def test_hom_respects_scalar_change_of_generators():
     h1 = hom_space(Presentation.of_ideal(base), q1)
     h2 = hom_space(Presentation.of_ideal(scaled), q2)
     assert h1.dims() == h2.dims()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+def test_ext1_and_t2_match_greedy_rank_loop(field):
+    ungraded = 0
+    for seed in range(1, 13):
+        ideal = random_zero_dim_ideal(rng_for(7000 + seed), field=field,
+                                      homogeneous=seed % 2 == 0)
+        q = ArtinianQuotient(ideal)
+        engine = second_syzygy_engine(ideal, q)
+        ext1 = ext1_space(ideal, q, syz_engine=engine)
+        expected = loop_reference.ext1_representatives(ext1)
+        assert [(d, id(h)) for d, h in ext1.representatives] == [
+            (d, id(h)) for d, h in expected
+        ], str(ideal.gens)
+        if not ideal.homogeneous:
+            ungraded += 1
+            continue
+        t2 = t2_space(ideal, q, ext1=ext1, syz_engine=engine)
+        assert t2.dims == loop_reference.t2_dims(ideal, q, ext1, engine)
+    assert ungraded >= 2
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+def test_filtration_matches_per_element_loop(field):
+    for seed in range(2, 7):
+        ideal = random_zero_dim_ideal(rng_for(3000 + seed), field=field,
+                                      homogeneous=False)
+        q = ArtinianQuotient(ideal)
+        hom = hom_space(Presentation(ideal.ring, ideal.gen_degrees,
+                                     ideal.syzygies, homogeneous=False), q)
+        for start in (None, q.filtration_start() + 1):
+            assert hom_nonneg_filtration(ideal, q, hom, start=start) == \
+                loop_reference.hom_nonneg_filtration(ideal, q, hom, start=start)

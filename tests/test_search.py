@@ -85,9 +85,9 @@ def test_screen_known_shape_hits_and_persists(tmp_path):
         assert cert.verdict in ("TNT-elementary", "smooth-elementary")
 
 
-def test_screen_deterministic_and_threadsafe():
+def test_screen_deterministic():
     shape = CandidateShape(added_vars=4, socle=2, codim=3, seed=40)
-    a = screen(shape, 3, threads=1)
-    b = screen(shape, 3, threads=2)
+    a = screen(shape, 3)
+    b = screen(shape, 3)
     assert a["log"] == b["log"]
     assert a["verdicts"] == b["verdicts"]
