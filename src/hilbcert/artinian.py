@@ -134,9 +134,6 @@ class FiniteModule:
             dims[d] = dims.get(d, 0) + 1
         return HilbertFunction(dims)
 
-    def indices_of_degree(self, d: int):
-        return [j for j, dj in enumerate(self.degrees) if dj == d]
-
     def top_degree(self) -> int:
         return max(self.degrees) if self.degrees else -1
 

@@ -20,6 +20,55 @@ def poly_to_vector(p: Polynomial, module: FreeModule) -> ModuleVector:
     return ModuleVector(module, {(0, e): c for e, c in p.terms.items()})
 
 
+def _echelon_insert(echelon, row, field):
+    """Reduce `row` (a term-id -> coefficient dict, consumed) by the echelon,
+    whose rows sit under their largest term id with coefficient one there.
+    Stores the remainder and returns True unless it is zero."""
+    zero, mul, sub = field.zero, field.mul, field.sub
+    while row:
+        t = max(row)
+        known = echelon.get(t)
+        if known is None:
+            inv = field.inv(row[t])
+            echelon[t] = {u: mul(inv, x) for u, x in row.items()}
+            return True
+        c = row[t]
+        for u, x in known.items():
+            val = sub(row.get(u, zero), mul(c, x))
+            if val == zero:
+                row.pop(u, None)
+            else:
+                row[u] = val
+    return False
+
+
+def minimal_generators(vectors):
+    """The nonzero vectors, stably sorted by degree, outside the submodule
+    generated by the ones kept before them.  For homogeneous vectors the
+    degree-d part of that submodule is spanned by the kept vectors' monomial
+    multiples, so each degree needs one sparse echelon form of those
+    multiples and no Groebner basis; by graded Nakayama the kept vectors
+    generate the input's module minimally."""
+    kept = []
+    current = None
+    for v in sorted((v for v in vectors if v), key=lambda v: v.degree()):
+        if not v.is_homogeneous():
+            raise ValueError("minimal generators need homogeneous vectors")
+        ring = v.module.ring
+        d = v.degree()
+        if d != current:
+            current, echelon, ids = d, {}, {}  # ids number the terms seen
+            for k in kept:
+                for m in ring.monomials_of_degree(d - k.degree()):
+                    row = {ids.setdefault((c, mul_exps(e, m)), len(ids)): x
+                           for (c, e), x in k.terms.items()}
+                    _echelon_insert(echelon, row, ring.field)
+        row = {ids.setdefault(t, len(ids)): x for t, x in v.terms.items()}
+        if _echelon_insert(echelon, row, ring.field):
+            kept.append(v)
+    return kept
+
+
 def _heap_key(module, comp, exps):
     """Negated module order key: popping the min of these from a heap yields
     terms in decreasing module order."""
@@ -89,16 +138,17 @@ class ModuleGroebner:
     """Groebner basis of a submodule, with lifts and transcript syzygies.
 
     Attributes:
-      basis      -- working basis (input vectors first, then new elements)
-      lifts      -- lifts[k] is a list of polynomials, one per input vector,
-                    with basis[k] = sum(lifts[k][j] * input_j)
       syzygies   -- ModuleVectors over the input generators spanning their
                     syzygy module (up to max_degree when capped)
       reduced    -- reduced (monic, interreduced) basis
       reduced_lifts -- lifts of the reduced basis in the input generators
+
+    While it runs, the engine keeps a working basis (input vectors first,
+    then new elements) and, per element, its lift: a list of polynomials,
+    one per input vector.  Both are dropped once the reduced basis is built.
     """
 
-    def __init__(self, module: FreeModule, vectors, max_degree=None, with_syzygies=True):
+    def __init__(self, module: FreeModule, vectors, max_degree=None):
         self.module = module
         self.ring = module.ring
         self.inputs = list(vectors)
@@ -107,9 +157,9 @@ class ModuleGroebner:
         self.syzygies = []
         self.basis = []
         self.lifts = []
-        self._with_syzygies = with_syzygies
         self._run()
         self.reduced, self.reduced_lifts = self._interreduce()
+        del self.basis, self.lifts
 
     # -- construction -----------------------------------------------------
 
@@ -124,8 +174,7 @@ class ModuleGroebner:
         counter = 0
         for j, v in enumerate(self.inputs):
             if v.is_zero():
-                if self._with_syzygies:
-                    self.syzygies.append(self.syzygy_module.basis_vector(j))
+                self.syzygies.append(self.syzygy_module.basis_vector(j))
                 continue
             counter = self._add(v, self._unit_lift(j), pairs, counter)
         while pairs:
@@ -162,8 +211,7 @@ class ModuleGroebner:
         spair = bi.term_mul(qi, ci) - bj.term_mul(qj, cj)
         remainder, quotients = vector_normal_form(spair, self.basis)
         if remainder.is_zero():
-            if self._with_syzygies:
-                self._record_syzygy(i, j, qi, ci, qj, cj, quotients)
+            self._record_syzygy(i, j, qi, ci, qj, cj, quotients)
             return counter
         lift = self._combine_lifts(quotients, extra=[(i, qi, ci), (j, qj, f.neg(cj))])
         return self._add(remainder, lift, pairs, counter)
@@ -274,7 +322,12 @@ class ModuleGroebner:
 
 
 class IdealPresentation:
-    """An ideal with its reduced Groebner basis, lifts, and first syzygies."""
+    """An ideal with its reduced Groebner basis, lifts, and first syzygies.
+
+    The generators are kept as given.  The syzygies generate the first-syzygy
+    module: for homogeneous generators they are a minimal generating set,
+    otherwise they are every Groebner transcript syzygy.
+    """
 
     def __init__(self, ring: GradedRing, gens, max_degree=None):
         gens = [g for g in gens]
@@ -294,6 +347,7 @@ class IdealPresentation:
         self.gb_lifts = self._engine.reduced_lifts
         self.syzygies = self._engine.syzygies
         self.syzygy_module = self._engine.syzygy_module
+        self.trim_syzygies()
 
     def normal_form(self, p: Polynomial):
         """(nf, lift) with p - nf = sum(lift_j * gens_j)."""
@@ -323,29 +377,9 @@ class IdealPresentation:
         return out
 
     def trim_syzygies(self):
-        """Replace the transcript syzygies with a generating subset.
-
-        The transcripts are heavily redundant; dropping members of the
-        module generated by the earlier ones keeps the generating property
-        while shrinking every later computation over the syzygy module.
-        """
-        ordered = sorted(
-            (s for s in self.syzygies if s),
-            key=lambda s: s.degree(),
-        )
-        kept = []
-        engine = None
-        for s in ordered:
-            if engine is not None and engine.contains(s):
-                continue
-            kept.append(s)
-            engine = ModuleGroebner(
-                self.syzygy_module, kept, with_syzygies=False
-            )
-        self.syzygies = kept
-        return self
-
-    def syzygy_groebner(self, max_degree=None) -> ModuleGroebner:
-        """Groebner data of the first-syzygy module; its transcript syzygies
-        are the second syzygies."""
-        return ModuleGroebner(self.syzygy_module, self.syzygies, max_degree=max_degree)
+        """Thin the transcript syzygies of a graded ideal to a minimal
+        generating set; inhomogeneous input keeps every transcript."""
+        if self.homogeneous:
+            # the engine drops its copy too, so the redundant transcripts
+            # do not stay alive with the presentation
+            self.syzygies = self._engine.syzygies = minimal_generators(self.syzygies)

@@ -99,9 +99,6 @@ class HomSpace:
     def dim_negative(self) -> int:
         return sum(v for d, v in self.dims().items() if d < 0)
 
-    def negative_dims(self) -> dict:
-        return {d: v for d, v in self.dims().items() if d < 0}
-
     def flat_rows(self):
         return [h.flatten() for h in self.elements]
 
@@ -353,6 +350,8 @@ class Ext1Space:
         return sum(v for d, v in self.dims.items() if d is not None and d >= 0)
 
     def series(self):
+        if not self.graded:
+            raise ValueError("ext1 space is not graded")
         return series_string(self.dims)
 
 
@@ -469,9 +468,14 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
     if ext1 is None:
         ext1 = ext1_space(ideal, target, syz_engine=syz_engine)
     f = ideal.ring.field
-    # express each trivial (Koszul) syzygy in the first-syzygy generators
+    # express each trivial (Koszul) syzygy in the first-syzygy generators;
+    # one above the engine's degree cap lands above the target's top degree
+    # under every hom that can be nonzero, so it imposes no condition
+    cap = syz_engine.max_degree
     koszul_lifts = []
     for v in ideal.koszul_vectors():
+        if cap is not None and v.degree() > cap:
+            continue
         remainder, lift = syz_engine.normal_form(v)
         if not remainder.is_zero():
             raise AssertionError("trivial syzygy outside the syzygy module")

@@ -142,10 +142,6 @@ def parse_polynomial(text: str, ring: GradedRing, line=None) -> Polynomial:
     return _PolyParser(ring, _tokenize(text, line), line).parse()
 
 
-def polynomial_to_string(p: Polynomial) -> str:
-    return str(p)
-
-
 # -- ideal files -----------------------------------------------------------
 
 

@@ -8,9 +8,6 @@ trailing exponents are smaller wins.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .fields import QQ, field_name
 
 _MAX_EXPONENT = 1 << 16
@@ -57,10 +54,6 @@ class GradedRing:
             key = (self.degree(exps), tuple(-e for e in reversed(exps)))
             self._order_cache[exps] = key
         return key
-
-    def cmp(self, a, b) -> int:
-        ka, kb = self.order_key(a), self.order_key(b)
-        return (ka > kb) - (ka < kb)
 
     def monomial(self, exps) -> "Polynomial":
         return Polynomial(self, {tuple(exps): self.field.one})
@@ -271,12 +264,6 @@ class Polynomial:
         deg = self.ring.degree
         return max(deg(e) for e in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return -1
-        deg = self.ring.degree
-        return min(deg(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -300,26 +287,6 @@ class Polynomial:
                 else:
                     terms[ne] = s
         return Polynomial(self.ring, terms)
-
-    def strip_content(self) -> "Polynomial":
-        """Over QQ, scale so coefficients are coprime integers (sign of the
-        leading coefficient positive).  Over GF(p), make monic."""
-        if not self.terms:
-            return self
-        if self.ring.field.char:
-            return self.monic()
-        nums = [c.numerator for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        l = 1
-        for d in dens:
-            l = l * d // gcd(l, d)
-        factor = Fraction(l, g)
-        if self.leading_coefficient() * factor < 0:
-            factor = -factor
-        return self.scale(factor)
 
     def __str__(self):
         if not self.terms:

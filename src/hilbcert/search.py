@@ -14,7 +14,7 @@ import random
 
 from .certify import elementary_certificate
 from .fields import GF, field_name
-from .groebner import IdealPresentation, ModuleGroebner, poly_to_vector
+from .groebner import IdealPresentation, minimal_generators, poly_to_vector
 from .modules import FreeModule
 from .linalg import rank
 from .parsing import IdealFile
@@ -31,7 +31,9 @@ class CandidateShape:
     whose forms are constrained; codim: codimension of the random subspace
     inside the degree-r slice; base_regularity: user-supplied bound r0 for
     the base ideal (required when a base ideal is present; the template
-    needs r >= r0 + 2).
+    needs r >= r0 + 2).  A candidate whose generators are all homogeneous
+    is presented minimally, generators and syzygies alike; an inhomogeneous
+    base ideal keeps every generator and every transcript syzygy.
     """
 
     def __init__(self, added_vars, socle, codim, field=DEFAULT_FIELD,
@@ -109,27 +111,13 @@ def random_candidate(shape: CandidateShape, seed) -> IdealPresentation:
             gens.append(p)
     for m in ring.monomials_of_degree(shape.socle + 1):
         gens.append(ring.monomial(m))
-    return IdealPresentation(ring, _trim_generators(ring, gens)).trim_syzygies()
-
-
-def _trim_generators(ring, gens):
-    """Drop generators lying in the ideal of the lower-degree ones; keeps
-    the certificate stages proportional to the essential generator count."""
-    ordered = sorted((g for g in gens if not g.is_zero()),
-                     key=lambda g: g.degree())
-    free = FreeModule(ring, (0,))
-    kept = []
-    engine = None
-    for g in ordered:
-        if engine is not None and engine.contains(poly_to_vector(g, free)):
-            continue
-        kept.append(g)
-        engine = ModuleGroebner(
-            free,
-            [poly_to_vector(k, free) for k in kept],
-            with_syzygies=False,
-        )
-    return kept
+    if all(g.is_homogeneous() for g in gens):
+        # drop generators lying in the ideal of the earlier ones: keeps the
+        # certificate stages proportional to the essential generator count
+        free = FreeModule(ring, (0,))
+        kept = minimal_generators(poly_to_vector(g, free) for g in gens)
+        gens = [v.coordinate(0) for v in kept]
+    return IdealPresentation(ring, gens)
 
 
 def candidate_fingerprint(cert) -> str:

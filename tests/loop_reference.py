@@ -6,8 +6,12 @@
   built on it must agree with it.
 - The filtration constraints of `hom_nonneg_filtration`, evaluating one
   basis hom at a time and rebuilding each action matrix per hom.
+- Trimming a generating set: keep a vector unless the Groebner basis of
+  the ones kept so far contains it, building a fresh basis per kept vector.
+  `groebner.minimal_generators` must agree with it.
 """
 
+from hilbcert.groebner import ModuleGroebner
 from hilbcert.homology import _evaluate_polys, _unflatten, evaluate
 from hilbcert.linalg import nullspace, rank, row_space_basis
 
@@ -20,6 +24,27 @@ def independent_greedy(base, candidates, ncols, field):
         if rank(trial, ncols, field) > len(current):
             current = row_space_basis(trial, ncols, field)
             kept.append(i)
+    return kept
+
+
+class _MembershipEngine(ModuleGroebner):
+    """The Groebner engine without its syzygy transcripts, which membership
+    tests never read."""
+
+    def _record_syzygy(self, *args):
+        pass
+
+
+def groebner_trim(vectors):
+    """The nonzero vectors, stably sorted by degree, that the Groebner basis
+    of the ones kept before them does not contain."""
+    kept = []
+    engine = None
+    for v in sorted((v for v in vectors if v), key=lambda v: v.degree()):
+        if engine is not None and engine.contains(v):
+            continue
+        kept.append(v)
+        engine = _MembershipEngine(v.module, kept)
     return kept
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hilbcert.artinian import ArtinianQuotient
@@ -79,6 +81,13 @@ def test_minimal_syzygy_degrees_complete_intersection():
         [parse_polynomial("x^2", ring), parse_polynomial("y^3", ring)],
     )
     assert minimal_syzygy_degrees(ideal, 6) == {5: 1}
+    # the presentation's own syzygies are minimal: same degrees as the
+    # independent linear-algebra count
+    naive = build_entry("naive56").ideal
+    for presented, top, want in ((ideal, 6, {5: 1}),
+                                 (naive, 8, {6: 16, 7: 4})):
+        counts = Counter(s.degree() for s in presented.syzygies)
+        assert counts == minimal_syzygy_degrees(presented, top) == want
 
 
 def test_verify_reports_mismatch():

@@ -3,15 +3,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly, random_zero_dim_ideal, rng_for
+from hilbcert import search
 from hilbcert.fields import GF, QQ
+from hilbcert.gallery import build_entry
 from hilbcert.groebner import (
     IdealPresentation,
     ModuleGroebner,
+    minimal_generators,
     poly_to_vector,
     vector_normal_form,
 )
 from hilbcert.modules import FreeModule
 from hilbcert.rings import GradedRing
+
+import loop_reference
 
 F101 = GF(101)
 
@@ -69,19 +74,17 @@ def test_syzygies_evaluate_to_zero():
 def test_koszul_vectors_inside_syzygy_module():
     for seed in range(4):
         ideal = random_zero_dim_ideal(rng_for(200 + seed))
-        engine = ModuleGroebner(ideal.syzygy_module, ideal.syzygies,
-                                with_syzygies=False)
+        engine = ModuleGroebner(ideal.syzygy_module, ideal.syzygies)
         for v in ideal.koszul_vectors():
             assert engine.contains(v)
 
 
 def test_trim_syzygies_preserves_generation():
     ideal = random_zero_dim_ideal(rng_for(42))
-    full = list(ideal.syzygies)
-    ideal.trim_syzygies()
+    # the presentation trims on construction
+    full = _transcripts(ideal)
     assert len(ideal.syzygies) <= len(full)
-    engine = ModuleGroebner(ideal.syzygy_module, ideal.syzygies,
-                            with_syzygies=False)
+    engine = ModuleGroebner(ideal.syzygy_module, ideal.syzygies)
     for v in full:
         assert engine.contains(v)
 
@@ -142,3 +145,84 @@ def test_unit_ideal_and_empty():
         IdealPresentation(ring, [])
     one = IdealPresentation(ring, [ring.one])
     assert one.contains(ring.one)
+
+
+def _generator_vectors(ideal):
+    return [poly_to_vector(g, ideal.free) for g in ideal.gens]
+
+
+def _transcripts(ideal):
+    """The Groebner transcript syzygies of the ideal's generators, before a
+    graded presentation trims them."""
+    return ModuleGroebner(ideal.free, _generator_vectors(ideal)).syzygies
+
+
+def _assert_same_kept(vectors):
+    """The echelon trim keeps the very vectors, in the very order, that the
+    per-vector Groebner loop keeps."""
+    kept = minimal_generators(vectors)
+    assert [id(v) for v in kept] == [
+        id(v) for v in loop_reference.groebner_trim(vectors)
+    ]
+    return kept
+
+
+@pytest.mark.parametrize("shape_args", [(4, 2, 3), (4, 2, 1)])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_minimal_generators_match_groebner_loop_on_hunt_candidates(
+        shape_args, seed, monkeypatch):
+    shape = search.CandidateShape(*shape_args)
+    candidate = search.random_candidate(shape, seed)
+    kept = _assert_same_kept(_transcripts(candidate))
+    assert kept == candidate.syzygies
+    # the generators the template drew, before the candidate trimmed them
+    with monkeypatch.context() as m:
+        m.setattr(search, "minimal_generators", list)
+        m.setattr(search, "IdealPresentation", lambda ring, gens: gens)
+        drawn = search.random_candidate(shape, seed)
+    free = FreeModule(shape.ring, (0,))
+    kept = _assert_same_kept([poly_to_vector(g, free) for g in drawn])
+    assert len(kept) < len(drawn)
+    assert [v.coordinate(0) for v in kept] == candidate.gens
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+def test_minimal_generators_match_groebner_loop_on_conftest_ideals(field):
+    dropped = 0
+    for seed in range(8):
+        ideal = random_zero_dim_ideal(rng_for(500 + seed), field=field)
+        assert ideal.homogeneous
+        transcripts = _transcripts(ideal)
+        kept = _assert_same_kept(transcripts)
+        assert kept == ideal.syzygies
+        dropped += len(transcripts) - len(kept)
+        dropped += len(ideal.gens) - len(_assert_same_kept(_generator_vectors(ideal)))
+    assert dropped > 0
+
+
+def test_minimal_generators_match_groebner_loop_on_weighted_entry():
+    entry = build_entry("weighted_counterexample").ideal
+    # x1*y1 + x2*y2 has weighted degrees 6 and 2: the entry keeps its
+    # transcripts, so compare on its weighted-homogeneous generators plus
+    # two weighted forms of degree 4
+    assert not entry.homogeneous
+    assert entry.syzygies == _transcripts(entry)
+    ring = entry.ring
+    x1, x2, y1, y2 = ring.gens()
+    gens = [g for g in entry.gens if g.is_homogeneous()]
+    gens += [x1 * y2 + x2**3 * y2, x2 * y1 + x2 * y2**3]
+    ideal = IdealPresentation(ring, gens)
+    assert ideal.homogeneous and ring.weights == (3, 1, 3, 1)
+    transcripts = _transcripts(ideal)
+    kept = _assert_same_kept(transcripts)
+    assert kept == ideal.syzygies
+    assert len(kept) < len(transcripts)
+    _assert_same_kept(_generator_vectors(ideal))
+
+
+def test_inhomogeneous_presentation_keeps_transcripts():
+    ideal = random_zero_dim_ideal(rng_for(7001), homogeneous=False)
+    assert not ideal.homogeneous
+    assert ideal.syzygies == _transcripts(ideal)
+    with pytest.raises(ValueError, match="homogeneous"):
+        minimal_generators(_generator_vectors(ideal))

@@ -151,6 +151,15 @@ def test_ext1_and_t2_match_greedy_rank_loop(field):
     assert ungraded >= 2
 
 
+def test_ext1_series_needs_grading():
+    for seed in (7001, 7003):
+        ideal = random_zero_dim_ideal(rng_for(seed), homogeneous=False)
+        ext1 = ext1_space(ideal, ArtinianQuotient(ideal))
+        assert not ext1.graded and ext1.total_dim() > 0
+        with pytest.raises(ValueError, match="ext1 space is not graded"):
+            ext1.series()
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
 def test_filtration_matches_per_element_loop(field):
     for seed in range(2, 7):

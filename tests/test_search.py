@@ -4,9 +4,8 @@ import os
 import pytest
 
 from hilbcert.certify import elementary_certificate
+from hilbcert.cli import _load_ideal
 from hilbcert.fields import GF
-from hilbcert.groebner import IdealPresentation
-from hilbcert.parsing import parse_ideal_file
 from hilbcert.search import CandidateShape, random_candidate, screen
 
 
@@ -76,12 +75,17 @@ def test_screen_known_shape_hits_and_persists(tmp_path):
     assert summary["distinct_hit_fingerprints"] >= 1
     index = json.loads((out / "index.json").read_text())
     assert len(index) == summary["distinct_hit_fingerprints"]
-    # every persisted hit re-verifies from the stored ideal alone
+    # every persisted hit re-verifies from the stored ideal alone, loaded as
+    # `hilbcert certify` loads a file, with as many syzygies as the
+    # candidate it was screened as
     for name in index.values():
         text = (out / name).read_text()
-        ideal_text = text.split("# certificate", 1)[0]
-        f = parse_ideal_file(ideal_text)
-        cert = elementary_certificate(IdealPresentation(f.ring, f.generators))
+        ideal_file = tmp_path / f"{name}.ideal"
+        ideal_file.write_text(text.split("# certificate", 1)[0])
+        ideal = _load_ideal(str(ideal_file))
+        seed = int(name.rsplit("seed", 1)[1].split(".")[0])
+        assert len(ideal.syzygies) == len(random_candidate(shape, seed).syzygies)
+        cert = elementary_certificate(ideal)
         assert cert.verdict in ("TNT-elementary", "smooth-elementary")
 
 
