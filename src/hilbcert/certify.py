@@ -22,11 +22,13 @@ from .fields import field_name
 from .groebner import IdealPresentation
 from .homology import (
     Presentation,
+    actions,
     diagram_maps,
     evaluate,
     ext1_space,
     hom_nonneg_filtration,
     hom_space,
+    image_matrix,
     second_syzygy_engine,
     t2_space,
 )
@@ -132,13 +134,6 @@ def fingerprint(ideal: IdealPresentation) -> dict:
     }
 
 
-def _flatten_images(images):
-    out = []
-    for v in images:
-        out.extend(v)
-    return out
-
-
 class TNTData:
     """Working data behind the trivial-negative-tangents decision."""
 
@@ -148,15 +143,17 @@ class TNTData:
         self.ideal = ideal
         self.quotient = quotient
         self.hom = hom_space(Presentation.of_ideal(ideal), quotient)
-        n = ring.n
-        deriv_rows = []
-        for i in range(n):
-            images = [quotient.poly_vector(g.partial(i)) for g in ideal.gens]
-            for s in ideal.syzygies:
-                val = evaluate(s, images, quotient)
-                if any(x != f.zero for x in val):
-                    raise AssertionError("translation map violates a syzygy")
-            deriv_rows.append(_flatten_images(images))
+        # the translation along x_i sends each generator to its partial
+        deriv_rows = [
+            [x for g in ideal.gens for x in quotient.poly_vector(g.partial(i))]
+            for i in range(ring.n)
+        ]
+        translations = image_matrix(deriv_rows)
+        for s in ideal.syzygies:
+            values = evaluate(actions(s.coordinates(), quotient), translations,
+                              quotient)
+            if any(x != f.zero for row in values for x in row):
+                raise AssertionError("translation map violates a syzygy")
         total = self.hom.total_dim()
         width = len(ideal.gens) * quotient.dim
         self.cutoff_checked = False

@@ -20,7 +20,7 @@ from .certify import (
 from .fields import GF, QQ
 from .groebner import IdealPresentation
 from .homology import Presentation, ext1_space, hom_space
-from .linalg import rank, rref
+from .linalg import independent_modulo, nullspace, rank, rref
 from .parsing import IdealFile
 from .rings import GradedRing
 
@@ -110,8 +110,6 @@ def minimal_syzygy_degrees(ideal: IdealPresentation, up_to: int) -> dict:
                 cols.append(col)
                 labels.append((j, m))
         matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(mons))]
-        from .linalg import nullspace
-
         return nullspace(matrix, len(cols), f), labels
 
     out = {}
@@ -131,10 +129,10 @@ def minimal_syzygy_degrees(ideal: IdealPresentation, up_to: int) -> dict:
                             pos = label_index[key]
                             row[pos] = f.add(row[pos], c)
                     shifted.append(row)
-        base = rank(shifted, len(labels), f) if shifted else 0
-        total = rank(shifted + kern, len(labels), f)
-        if total - base:
-            out[d] = total - base
+        # kernel vectors outside the span of the lower-degree multiples
+        new = len(independent_modulo(shifted, kern, len(labels), f))
+        if new:
+            out[d] = new
         prev = (kern, labels)
     return out
 

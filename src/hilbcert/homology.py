@@ -16,14 +16,13 @@ from .artinian import ArtinianQuotient, FiniteModule, series_string, submodule
 from .groebner import IdealPresentation, ModuleGroebner
 from .linalg import (
     independent_modulo,
+    left_nullspace,
     mat_mul,
     matvec,
     nullspace,
     rank,
-    row_space_basis,
 )
-from .modules import FreeModule, ModuleVector
-from .rings import Polynomial
+from .modules import FreeModule
 
 
 class Presentation:
@@ -103,118 +102,86 @@ class HomSpace:
         return [h.flatten() for h in self.elements]
 
 
-def evaluate(vector: ModuleVector, images, target: FiniteModule):
-    """Value of the hom with the given generator images on a vector over the
-    generators: sum of coordinate polynomials acting on the images."""
+def actions(polys, target: FiniteModule):
+    """How a vector over the generators acts on homs: (generator index,
+    action matrix) for each nonzero coordinate polynomial."""
+    return [(j, target.poly_matrix(p)) for j, p in enumerate(polys)
+            if not p.is_zero()]
+
+
+def image_matrix(flat_rows):
+    """Flattened generator images of a batch of homs as columns: row
+    j * dim + b holds coordinate b of generator j's image under every hom."""
+    return [list(col) for col in zip(*flat_rows)]
+
+
+def evaluate(action, images, target: FiniteModule):
+    """Values of a batch of homs on one vector, given the vector's `actions`
+    and the homs' `image_matrix`: row t holds coordinate t of every value.
+    One product serves every hom."""
     f = target.ring.field
-    out = target.zero_vector()
-    for j, p in enumerate(vector.coordinates()):
-        if p.is_zero():
-            continue
-        m = target.poly_matrix(p)
-        img = matvec(m, images[j], f)
-        for t, x in enumerate(img):
-            if x != f.zero:
-                out[t] = f.add(out[t], x)
-    return out
-
-
-def _relation_matrices(pres: Presentation, target: FiniteModule):
-    """Per relation, list of (generator index, action matrix of coordinate)."""
-    out = []
-    for s in pres.relations:
-        entry = []
-        for j, p in enumerate(s.coordinates()):
-            if not p.is_zero():
-                entry.append((j, target.poly_matrix(p)))
-        out.append((s, entry))
-    return out
+    dim = target.dim
+    stacked = [[] for _ in range(dim)]
+    blocks = []
+    for j, m in action:
+        for row, m_row in zip(stacked, m):
+            row.extend(m_row)
+        blocks.extend(images[j * dim : (j + 1) * dim])
+    if not blocks:
+        # the zero vector, or no homs
+        width = len(images[0]) if images else 0
+        return [[f.zero] * width for _ in range(dim)]
+    return mat_mul(stacked, blocks, f)
 
 
 def hom_space(pres: Presentation, target: FiniteModule) -> HomSpace:
-    """Basis of Hom over the ring, graded when the data is homogeneous."""
-    if pres.homogeneous:
-        return _hom_graded(pres, target)
-    return _hom_ungraded(pres, target)
-
-
-def _hom_ungraded(pres, target):
+    """Basis of Hom over the ring, graded when the data is homogeneous: one
+    kernel per hom degree, where ungraded data has the single degree None."""
     f = target.ring.field
+    zero = f.zero
     r = pres.rank
     dimn = target.dim
-    total = r * dimn
-    rel = _relation_matrices(pres, target)
-    rows = []
-    for _, entry in rel:
-        for t in range(dimn):
-            row = [f.zero] * total
-            nz = False
-            for j, m in entry:
-                mt = m[t]
-                base = j * dimn
-                for b in range(dimn):
-                    if mt[b] != f.zero:
-                        row[base + b] = f.add(row[base + b], mt[b])
-                        nz = True
-            if nz:
-                rows.append(row)
-    basis = nullspace(rows, total, f) if rows else [
-        [f.one if i == j else f.zero for j in range(total)] for i in range(total)
-    ]
-    elements = []
-    for vec in basis:
-        images = [vec[j * dimn : (j + 1) * dimn] for j in range(r)]
-        elements.append(HomElement(None, images))
-    return HomSpace(pres, target, elements, graded=False)
-
-
-def _hom_graded(pres, target):
-    f = target.ring.field
-    r = pres.rank
-    dimn = target.dim
-    rel = _relation_matrices(pres, target)
     tdegs = target.degrees
-    if not tdegs or r == 0:
-        return HomSpace(pres, target, [], graded=True)
-    d_lo = min(tdegs) - max(pres.gen_degrees)
-    d_hi = max(tdegs) - min(pres.gen_degrees)
+    rel = [(s.degree() if pres.homogeneous else None,
+            actions(s.coordinates(), target)) for s in pres.relations]
+    if not pres.homogeneous:
+        degrees = [None]
+    elif tdegs and r:
+        degrees = range(min(tdegs) - max(pres.gen_degrees),
+                        max(tdegs) - min(pres.gen_degrees) + 1)
+    else:
+        degrees = []
     elements = []
-    for d in range(d_lo, d_hi + 1):
-        slots = []  # (generator j, target basis index b)
-        for j in range(r):
-            want = d + pres.gen_degrees[j]
-            for b in range(dimn):
-                if tdegs[b] == want:
-                    slots.append((j, b))
+    for d in degrees:
+        # (generator j, target basis index b) pairs a degree-d hom may use
+        slots = [(j, b) for j in range(r) for b in range(dimn)
+                 if d is None or tdegs[b] == d + pres.gen_degrees[j]]
         if not slots:
             continue
         slot_index = {s: i for i, s in enumerate(slots)}
         rows = []
-        for s, entry in rel:
-            delta = s.degree()
-            targets = [t for t in range(dimn) if tdegs[t] == d + delta]
+        for delta, action in rel:
+            targets = range(dimn) if d is None else [
+                t for t in range(dimn) if tdegs[t] == d + delta
+            ]
             for t in targets:
-                row = [f.zero] * len(slots)
+                row = [zero] * len(slots)
                 nz = False
-                for j, m in entry:
-                    mt = m[t]
-                    for b in range(dimn):
-                        idx = slot_index.get((j, b))
-                        if idx is not None and mt[b] != f.zero:
-                            row[idx] = f.add(row[idx], mt[b])
-                            nz = True
+                for j, m in action:
+                    for b, x in enumerate(m[t]):
+                        if x != zero:
+                            idx = slot_index.get((j, b))
+                            if idx is not None:
+                                row[idx] = f.add(row[idx], x)
+                                nz = True
                 if nz:
                     rows.append(row)
-        basis = nullspace(rows, len(slots), f) if rows else [
-            [f.one if i == k else f.zero for k in range(len(slots))]
-            for i in range(len(slots))
-        ]
-        for vec in basis:
-            images = [[f.zero] * dimn for _ in range(r)]
+        for vec in nullspace(rows, len(slots), f):
+            images = [[zero] * dimn for _ in range(r)]
             for i, (j, b) in enumerate(slots):
                 images[j][b] = vec[i]
             elements.append(HomElement(d, images))
-    return HomSpace(pres, target, elements, graded=True)
+    return HomSpace(pres, target, elements, graded=pres.homogeneous)
 
 
 # -- nonnegative part for non-homogeneous ideals ---------------------------
@@ -237,24 +204,15 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
     if m == 0:
         return 0, []
 
-    # row j * dim + b, column i: coordinate b of generator j's image under
-    # the i-th basis hom
-    image_matrix = [list(col) for col in zip(*(h.flatten() for h in hom.elements))]
-    zero_block = [[f.zero] * quotient.dim for _ in range(quotient.dim)]
+    images = image_matrix(hom.flat_rows())
 
     def values_on(poly):
         """Values of the basis homs on an ideal element, via its lift: row t
-        holds coordinate t of every value.  Each lift coordinate's action
-        matrix is built once and applied to all basis homs together."""
+        holds coordinate t of every value."""
         nf, lift = ideal.normal_form(poly)
         if not nf.is_zero():
             raise ValueError("filtration test vector is not in the ideal")
-        action = [[] for _ in range(quotient.dim)]
-        for p in lift:
-            block = zero_block if p.is_zero() else quotient.poly_matrix(p)
-            for row, block_row in zip(action, block):
-                row.extend(block_row)
-        return mat_mul(action, image_matrix, f)
+        return evaluate(actions(lift, quotient), images, quotient)
 
     constraints = []  # rows over the m hom coefficients
 
@@ -276,18 +234,9 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
             continue
         nf_rows = [quotient.poly_vector(ring.monomial(e)) for e in window]
         # ideal elements supported in the window
-        kernel = nullspace(
-            [[nf_rows[i][t] for i in range(len(window))] for t in range(quotient.dim)],
-            len(window),
-            f,
-        ) if quotient.dim else [
-            [f.one if i == j else f.zero for j in range(len(window))]
-            for i in range(len(window))
-        ]
-        target_span = row_space_basis(nf_rows, quotient.dim, f)
-        functionals = nullspace(target_span, quotient.dim, f) if target_span else None
-        if functionals is None:
-            functionals = nullspace([], quotient.dim, f)
+        kernel = left_nullspace(nf_rows, quotient.dim, f)
+        # functionals vanishing on the classes of order >= k
+        functionals = nullspace(nf_rows, quotient.dim, f)
         if not functionals:
             continue
         for coeffs in kernel:
@@ -301,9 +250,7 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
                 if any(x != f.zero for x in row):
                     constraints.append(row)
 
-    coeff_basis = nullspace(constraints, m, f) if constraints else [
-        [f.one if i == j else f.zero for j in range(m)] for i in range(m)
-    ]
+    coeff_basis = nullspace(constraints, m, f)
     return len(coeff_basis), coeff_basis
 
 
@@ -418,13 +365,7 @@ def _restriction_rows(free_degrees, relation_vectors, target, graded):
     r = len(free_degrees)
     # a map sending generator j to basis vector b evaluates on a relation s
     # as column b of the action matrix of the j-th coordinate of s
-    mats = []
-    for s in relation_vectors:
-        entry = {}
-        for j, p in enumerate(s.coordinates()):
-            if not p.is_zero():
-                entry[j] = target.poly_matrix(p)
-        mats.append(entry)
+    mats = [dict(actions(s.coordinates(), target)) for s in relation_vectors]
     rows = []
     zero_block = [f.zero] * dimn
     for j, gdeg in enumerate(free_degrees):
@@ -472,14 +413,14 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
     # one above the engine's degree cap lands above the target's top degree
     # under every hom that can be nonzero, so it imposes no condition
     cap = syz_engine.max_degree
-    koszul_lifts = []
+    koszul_actions = []
     for v in ideal.koszul_vectors():
         if cap is not None and v.degree() > cap:
             continue
         remainder, lift = syz_engine.normal_form(v)
         if not remainder.is_zero():
             raise AssertionError("trivial syzygy outside the syzygy module")
-        koszul_lifts.append((v.degree(), lift))
+        koszul_actions.append(actions(lift, target))
     dims = {}
     img_by_deg = _by_degree(ext1.image_rows)
     for d, reps in sorted(_by_degree(ext1.representatives).items()):
@@ -487,24 +428,13 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
         # trivial syzygy; count independent such classes
         img = img_by_deg.get(d, [])
         candidates = [h.flatten() for h in reps] + img
-        # evaluation of each candidate on the trivial syzygies
-        eval_rows = []
-        for vec in candidates:
-            images = _unflatten(vec, len(ideal.syzygies), target.dim)
-            row = []
-            for kdeg, lift in koszul_lifts:
-                val = _evaluate_polys(lift, images, target)
-                row.extend(val)
-            eval_rows.append(row)
-        ncols = len(eval_rows[0]) if eval_rows else 0
-        kern = nullspace(
-            [[eval_rows[i][t] for i in range(len(candidates))] for t in range(ncols)],
-            len(candidates),
-            f,
-        ) if ncols else [
-            [f.one if i == j else f.zero for j in range(len(candidates))]
-            for i in range(len(candidates))
-        ]
+        # values of the candidates on the trivial syzygies, one row per
+        # (syzygy, coordinate) and one column per candidate
+        images = image_matrix(candidates)
+        values = []
+        for action in koszul_actions:
+            values.extend(evaluate(action, images, target))
+        kern = nullspace(values, len(candidates), f)
         # dimension of (kernel + image)/image
         dim = len(independent_modulo(img, mat_mul(kern, candidates, f),
                                      ext1.width, f))
@@ -542,12 +472,12 @@ def _connecting_target(M, combined, m_lifts, j_pres, target):
     width_m = len(M.gens) * target.dim
     # restriction: value of each Hom(I_R, N) basis element on the small
     # ideal's generators, via the recorded lifts
-    rho_pairs = []
-    for h in h_rn.elements:
-        flat = []
-        for lv in m_lifts:
-            flat.extend(evaluate(lv, h.images, target))
-        rho_pairs.append((h.degree, flat))
+    images = image_matrix(h_rn.flat_rows())
+    values = []
+    for lv in m_lifts:
+        values.extend(evaluate(actions(lv.coordinates(), target), images, target))
+    rho_pairs = [(h.degree, [row[i] for row in values])
+                 for i, h in enumerate(h_rn.elements)]
     rho_rank = _rank_by_degree(rho_pairs, width_m, f)
     h_mn_dims = h_mn.dims()
     h_rn_dims = h_rn.dims()
@@ -689,22 +619,4 @@ def diagram_maps(M: IdealPresentation, R: IdealPresentation):
     out.partial_surjective_all = out.row_big["connecting_surjective_all"]
     out.psi_surjective_nonneg = out.row_small["connecting_surjective_nonneg"]
     out.psi_surjective_all = out.row_small["connecting_surjective_all"]
-    return out
-
-
-def _unflatten(vec, r, dimn):
-    return [vec[j * dimn : (j + 1) * dimn] for j in range(r)]
-
-
-def _evaluate_polys(polys, images, target: FiniteModule):
-    """Value sum(p_j acting on images_j) for a list of polynomials."""
-    f = target.ring.field
-    out = target.zero_vector()
-    for j, p in enumerate(polys):
-        if p.is_zero():
-            continue
-        img = matvec(target.poly_matrix(p), images[j], f)
-        for t, x in enumerate(img):
-            if x != f.zero:
-                out[t] = f.add(out[t], x)
     return out

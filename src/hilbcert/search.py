@@ -198,9 +198,11 @@ def persist_hits(hits_by_fp, out_dir):
         report = o["certificate"].as_dict()
         with open(path, "w") as fh:
             fh.write(IdealFile(ideal.ring, ideal.gens).to_text())
+            # commented out, so that a hit file is itself an ideal file
             fh.write("\n# certificate\n")
-            fh.write(json.dumps(report, sort_keys=True, indent=1, default=str))
-            fh.write("\n")
+            for line in json.dumps(report, sort_keys=True, indent=1,
+                                   default=str).splitlines():
+                fh.write(f"# {line}\n")
         index[fp] = name
     with open(index_path, "w") as fh:
         json.dump(index, fh, sort_keys=True, indent=1)

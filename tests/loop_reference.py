@@ -4,16 +4,18 @@
   the rank of the current span, then re-reduce the span (two eliminations
   per candidate).  `linalg.independent_modulo` and the homology routines
   built on it must agree with it.
-- The filtration constraints of `hom_nonneg_filtration`, evaluating one
-  basis hom at a time and rebuilding each action matrix per hom.
+- Evaluating homs on a vector one hom at a time, rebuilding each action
+  matrix per hom.  `homology.evaluate`, which applies one action to a whole
+  batch of homs, must agree with it column by column; the filtration
+  constraints of `hom_nonneg_filtration` and the `T^2` evaluations below
+  are built on it.
 - Trimming a generating set: keep a vector unless the Groebner basis of
   the ones kept so far contains it, building a fresh basis per kept vector.
   `groebner.minimal_generators` must agree with it.
 """
 
 from hilbcert.groebner import ModuleGroebner
-from hilbcert.homology import _evaluate_polys, _unflatten, evaluate
-from hilbcert.linalg import nullspace, rank, row_space_basis
+from hilbcert.linalg import matvec, nullspace, rank, row_space_basis
 
 
 def independent_greedy(base, candidates, ncols, field):
@@ -46,6 +48,25 @@ def groebner_trim(vectors):
         kept.append(v)
         engine = _MembershipEngine(v.module, kept)
     return kept
+
+
+def unflatten(vec, r, dimn):
+    return [vec[j * dimn : (j + 1) * dimn] for j in range(r)]
+
+
+def evaluate_polys(polys, images, target):
+    """Value sum(p_j acting on images_j) of one hom, given by its generator
+    images, on the vector with coordinates `polys`."""
+    f = target.ring.field
+    out = target.zero_vector()
+    for j, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        img = matvec(target.poly_matrix(p), images[j], f)
+        for t, x in enumerate(img):
+            if x != f.zero:
+                out[t] = f.add(out[t], x)
+    return out
 
 
 def _group(pairs):
@@ -83,10 +104,10 @@ def t2_dims(ideal, target, ext1, syz_engine):
         candidates = [h.flatten() for h in reps] + img
         eval_rows = []
         for vec in candidates:
-            images = _unflatten(vec, len(ideal.syzygies), target.dim)
+            images = unflatten(vec, len(ideal.syzygies), target.dim)
             row = []
             for lift in koszul_lifts:
-                row.extend(_evaluate_polys(lift, images, target))
+                row.extend(evaluate_polys(lift, images, target))
             eval_rows.append(row)
         ncols = len(eval_rows[0])
         kern = nullspace(
@@ -121,8 +142,7 @@ def hom_nonneg_filtration(ideal, quotient, hom, start=None):
     def values_on(poly):
         nf, lift = ideal.normal_form(poly)
         assert nf.is_zero()
-        lift_vec = ideal.syzygy_module.from_polys(lift)
-        return [evaluate(lift_vec, h.images, quotient) for h in hom.elements]
+        return [evaluate_polys(lift, h.images, quotient) for h in hom.elements]
 
     constraints = []
     for d in range(n0, n0 + ring.max_weight):

@@ -96,6 +96,23 @@ def test_hunt_deterministic(tmp_path, capsys):
     assert (tmp_path / "hits" / "index.json").exists()
 
 
+def test_certify_reads_a_persisted_hit(tmp_path, capsys):
+    out = tmp_path / "hits"
+    assert main([
+        "hunt", "--vars", "4", "--socle", "2", "--codim", "3",
+        "--count", "1", "--seed", "12", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    index = json.loads((out / "index.json").read_text())
+    assert list(index.values()) == ["hit-0000-seed12.txt"]
+    hit = out / "hit-0000-seed12.txt"
+    lines = hit.read_text().split("# certificate\n", 1)[1].splitlines()
+    stored = json.loads("\n".join(line[2:] for line in lines))
+    assert main(["certify", str(hit)]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["ideal_hash"] == stored["ideal_hash"]
+
+
 def test_hunt_bounds_error(capsys):
     assert main(["hunt", "--vars", "4", "--socle", "2", "--codim", "999"]) == 4
     assert "out of range" in capsys.readouterr().err

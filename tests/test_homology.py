@@ -1,17 +1,23 @@
+import itertools
+
 import pytest
 
-from conftest import random_zero_dim_ideal, rng_for
+from conftest import random_poly, random_zero_dim_ideal, rng_for
 from hilbcert.artinian import ArtinianQuotient
 from hilbcert.fields import GF, QQ
 from hilbcert.groebner import IdealPresentation
 from hilbcert.homology import (
     Presentation,
+    actions,
+    evaluate,
     ext1_space,
     hom_nonneg_filtration,
     hom_space,
+    image_matrix,
     second_syzygy_engine,
     t2_space,
 )
+from hilbcert.linalg import rank
 from hilbcert.parsing import parse_polynomial
 from hilbcert.rings import GradedRing
 
@@ -19,6 +25,7 @@ import loop_reference
 import oracle
 
 F101 = GF(101)
+FIELDS = [GF(2), GF(3), F101, QQ]
 
 
 def _ideal(gens_text, names=("x", "y"), field=QQ, weights=None):
@@ -38,8 +45,11 @@ def test_hom_x2_y2_matches_oracle():
 
 
 def test_graded_and_ungraded_hom_agree():
-    for seed in range(5):
-        ideal = random_zero_dim_ideal(rng_for(400 + seed), homogeneous=True)
+    """The per-degree kernels and the single ungraded kernel span the same
+    space of generator images."""
+    for field, seed in itertools.product(FIELDS, range(5)):
+        ideal = random_zero_dim_ideal(rng_for(400 + seed), field=field,
+                                      homogeneous=True)
         q = ArtinianQuotient(ideal)
         pres = Presentation.of_ideal(ideal)
         graded = hom_space(pres, q)
@@ -48,7 +58,47 @@ def test_graded_and_ungraded_hom_agree():
             pres.ring, pres.gen_degrees, pres.relations, homogeneous=False
         )
         ungraded = hom_space(ungraded_pres, q)
-        assert graded.total_dim() == ungraded.total_dim()
+        assert not ungraded.graded
+        assert {h.degree for h in ungraded.elements} <= {None}
+        width = pres.rank * q.dim
+        a, b = graded.flat_rows(), ungraded.flat_rows()
+        assert rank(a + b, width, field) == rank(a, width, field) == \
+            rank(b, width, field) == len(a) == len(b)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_batched_evaluate_matches_per_hom_loop(field):
+    """`evaluate` applied to a batch of homs gives, column by column, what
+    the per-hom loop gives: on the Hom basis, on random images and on an
+    empty batch, for the zero vector, syzygies and random vectors."""
+    nonzero = 0
+    for seed in range(1, 9):
+        rng = rng_for(8000 + seed)
+        ideal = random_zero_dim_ideal(rng, field=field,
+                                      homogeneous=seed % 2 == 0)
+        q = ArtinianQuotient(ideal)
+        ring = ideal.ring
+        r = len(ideal.gens)
+        hom = hom_space(Presentation.of_ideal(ideal), q)
+        random_images = [[[field.of(rng.randrange(7)) for _ in range(q.dim)]
+                          for _ in range(r)] for _ in range(3)]
+        batches = [[h.images for h in hom.elements], random_images, []]
+        vectors = [[ring.zero] * r]
+        vectors += [s.coordinates() for s in ideal.syzygies[:3]]
+        vectors += [[ring.zero if rng.random() < 0.3 else random_poly(ring, rng)
+                     for _ in range(r)] for _ in range(4)]
+        for polys in vectors:
+            action = actions(polys, q)
+            for batch in batches:
+                flat = [[x for v in images for x in v] for images in batch]
+                values = evaluate(action, image_matrix(flat), q)
+                assert len(values) == q.dim
+                assert all(len(row) == len(batch) for row in values)
+                for i, images in enumerate(batch):
+                    expected = loop_reference.evaluate_polys(polys, images, q)
+                    assert [row[i] for row in values] == expected
+                    nonzero += any(x != field.zero for x in expected)
+    assert nonzero > 0
 
 
 def test_filtration_equals_graded_on_homogeneous():
@@ -130,7 +180,7 @@ def test_hom_respects_scalar_change_of_generators():
     assert h1.dims() == h2.dims()
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+@pytest.mark.parametrize("field", FIELDS)
 def test_ext1_and_t2_match_greedy_rank_loop(field):
     ungraded = 0
     for seed in range(1, 13):
@@ -160,7 +210,7 @@ def test_ext1_series_needs_grading():
             ext1.series()
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+@pytest.mark.parametrize("field", FIELDS)
 def test_filtration_matches_per_element_loop(field):
     for seed in range(2, 7):
         ideal = random_zero_dim_ideal(rng_for(3000 + seed), field=field,
