@@ -139,16 +139,16 @@ class FiniteModule:
 
     def has_nilpotent_action(self) -> bool:
         """True when every variable acts nilpotently (module supported at
-        the origin)."""
+        the origin): a matrix of size n is nilpotent exactly when its
+        2^k-th power vanishes for 2^k >= n, so square until then."""
         f = self.ring.field
         for m in self.matrices:
-            span = identity(self.dim, f)
-            for _ in range(self.dim + 1):
-                span = row_space_basis([matvec(m, row, f) for row in span], self.dim, f)
-                if not span:
-                    break
-            if span:
-                return False
+            power, exponent = m, 1
+            while any(any(row) for row in power):
+                if exponent >= self.dim:
+                    return False
+                power = mat_mul(power, power, f)
+                exponent *= 2
         return True
 
 

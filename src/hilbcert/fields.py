@@ -28,6 +28,9 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """The field with p elements, p a prime below 2**31."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
@@ -41,14 +44,6 @@ class PrimeField:
                 raise ZeroDivisionError("denominator vanishes mod p")
             return n.numerator * self.inv(n.denominator % self.char) % self.char
         return n % self.char
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.char
@@ -84,17 +79,12 @@ class RationalField:
     """The rationals with arbitrary-precision Fraction arithmetic."""
 
     char = 0
+    # Fractions are immutable, so every caller can share these two
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, n) -> Fraction:
         return Fraction(n)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b

@@ -81,6 +81,7 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
 
     Returns (remainder, quotients) with v = sum(q_k * basis_k) + remainder
     and no term of the remainder divisible by a basis leading term.
+    `leads`, when given, lists the basis leading terms.
     """
     module = v.module
     ring = module.ring
@@ -88,7 +89,7 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
     zero = f.zero
     if leads is None:
         leads = [b.leading_term() for b in basis]
-    quotients = [ring.zero] * len(basis)
+    quotients = [{} for _ in basis]
     remainder = {}
     work = dict(v.terms)
     # lazy max-heap: every reduction step only introduces terms strictly
@@ -115,7 +116,8 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
             continue
         k, q = hit
         factor = f.div(coeff, basis[k].leading_coefficient())
-        quotients[k] = quotients[k] + Polynomial(ring, {q: factor})
+        # terms are cancelled in decreasing order, so each q is new here
+        quotients[k][q] = factor
         for (bc, be), bcoef in basis[k].terms.items():
             nt = (bc, mul_exps(be, q))
             delta = f.mul(factor, bcoef)
@@ -131,7 +133,7 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
                     del work[nt]
                 else:
                     work[nt] = val
-    return ModuleVector(module, remainder), quotients
+    return ModuleVector(module, remainder), [Polynomial(ring, q) for q in quotients]
 
 
 class ModuleGroebner:
@@ -140,12 +142,15 @@ class ModuleGroebner:
     Attributes:
       syzygies   -- ModuleVectors over the input generators spanning their
                     syzygy module (up to max_degree when capped)
+      syzygy_module -- the free module of the syzygies, one component per
+                    input vector
       reduced    -- reduced (monic, interreduced) basis
       reduced_lifts -- lifts of the reduced basis in the input generators
 
-    While it runs, the engine keeps a working basis (input vectors first,
-    then new elements) and, per element, its lift: a list of polynomials,
-    one per input vector.  Both are dropped once the reduced basis is built.
+    While it runs, the engine keeps the input vectors and a working basis
+    (input vectors first, then new elements) with, per element, its leading
+    term and its lift: a list of polynomials, one per input vector.  All of
+    these are dropped once the reduced basis is built.
     """
 
     def __init__(self, module: FreeModule, vectors, max_degree=None):
@@ -156,20 +161,20 @@ class ModuleGroebner:
         self.syzygy_module = FreeModule(self.ring, [v.degree() for v in self.inputs])
         self.syzygies = []
         self.basis = []
+        self.leads = []
         self.lifts = []
         self._run()
         self.reduced, self.reduced_lifts = self._interreduce()
-        del self.basis, self.lifts
+        del self.inputs, self.basis, self.leads, self.lifts
 
     # -- construction -----------------------------------------------------
 
     def _unit_lift(self, j):
-        lift = [self.ring.zero] * len(self.inputs)
+        lift = [self.ring.zero] * self.syzygy_module.rank
         lift[j] = self.ring.one
         return lift
 
     def _run(self):
-        f = self.ring.field
         pairs = []
         counter = 0
         for j, v in enumerate(self.inputs):
@@ -183,9 +188,8 @@ class ModuleGroebner:
 
     def _add(self, v, lift, pairs, counter):
         k = len(self.basis)
-        comp, exps = v.leading_term()
-        for i, b in enumerate(self.basis):
-            bcomp, bexps = b.leading_term()
+        comp, exps = lead = v.leading_term()
+        for i, (bcomp, bexps) in enumerate(self.leads):
             if bcomp != comp:
                 continue
             lcm = lcm_exps(exps, bexps)
@@ -195,65 +199,62 @@ class ModuleGroebner:
             counter += 1
             heapq.heappush(pairs, (d, counter, i, k))
         self.basis.append(v)
+        self.leads.append(lead)
         self.lifts.append(lift)
         return counter
 
     def _process_pair(self, i, j, pairs, counter):
         f = self.ring.field
         bi, bj = self.basis[i], self.basis[j]
-        (comp, ei) = bi.leading_term()
-        (_, ej) = bj.leading_term()
+        (comp, ei), (_, ej) = self.leads[i], self.leads[j]
         lcm = lcm_exps(ei, ej)
         qi = div_exps(lcm, ei)
         qj = div_exps(lcm, ej)
         ci = f.inv(bi.leading_coefficient())
         cj = f.inv(bj.leading_coefficient())
         spair = bi.term_mul(qi, ci) - bj.term_mul(qj, cj)
-        remainder, quotients = vector_normal_form(spair, self.basis)
+        remainder, quotients = vector_normal_form(spair, self.basis, self.leads)
         if remainder.is_zero():
             self._record_syzygy(i, j, qi, ci, qj, cj, quotients)
             return counter
-        lift = self._combine_lifts(quotients, extra=[(i, qi, ci), (j, qj, f.neg(cj))])
+        lift = [Polynomial(self.ring, t)
+                for t in self._transcript(i, j, qi, ci, qj, cj, quotients)]
         return self._add(remainder, lift, pairs, counter)
 
-    def _combine_lifts(self, quotients, extra=()):
-        """Lift of (sum of extra terms applied to basis) - (sum q_k basis_k)."""
-        ring = self.ring
-        lift = [ring.zero] * len(self.inputs)
-        for idx, exps, coeff in extra:
-            term = Polynomial(ring, {exps: coeff})
-            for j, p in enumerate(self.lifts[idx]):
-                if p:
-                    lift[j] = lift[j] + term * p
-        for k, q in enumerate(quotients):
-            if q.is_zero():
+    def _transcript(self, i, j, qi, ci, qj, cj, quotients):
+        """Per input vector, the term dict of the lift of
+        spair - sum(q_k basis_k), where spair = u_i b_i - u_j b_j with
+        u_i = ci x^qi and u_j = cj x^qj."""
+        f = self.ring.field
+        zero, add, mul, neg = f.zero, f.add, f.mul, f.neg
+        coeffs = [{e: neg(c) for e, c in q.terms.items()} for q in quotients]
+        # the quotients reduce terms below the S-pair's lcm, so they never
+        # hold qi in slot i or qj in slot j
+        coeffs[i] = {qi: ci, **coeffs[i]}
+        coeffs[j] = {qj: neg(cj), **coeffs[j]}
+        out = [{} for _ in range(self.syzygy_module.rank)]
+        for k, c in enumerate(coeffs):
+            if not c:
                 continue
-            for j, p in enumerate(self.lifts[k]):
-                if p:
-                    lift[j] = lift[j] - q * p
-        return lift
+            for acc, p in zip(out, self.lifts[k]):
+                for ea, ca in c.items():
+                    for eb, cb in p.terms.items():
+                        e = mul_exps(ea, eb)
+                        s = add(acc.get(e, zero), mul(ca, cb))
+                        if s == zero:
+                            del acc[e]
+                        else:
+                            acc[e] = s
+        return out
 
     def _record_syzygy(self, i, j, qi, ci, qj, cj, quotients):
-        """spair = u_i b_i - u_j b_j reduced to zero with the given quotients;
-        compose the transcript with the lifts to land on the inputs."""
-        f = self.ring.field
-        ring = self.ring
-        coeffs = [ring.zero] * len(self.basis)
-        coeffs[i] = coeffs[i] + Polynomial(ring, {qi: ci})
-        coeffs[j] = coeffs[j] - Polynomial(ring, {qj: cj})
-        for k, q in enumerate(quotients):
-            if q:
-                coeffs[k] = coeffs[k] - q
-        out = [ring.zero] * len(self.inputs)
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            for j0, p in enumerate(self.lifts[k]):
-                if p:
-                    out[j0] = out[j0] + c * p
-        syz = self.syzygy_module.from_polys(out)
-        if syz:
-            self.syzygies.append(syz)
+        """The S-pair reduced to zero: its transcript, composed with the
+        lifts, is a syzygy of the inputs."""
+        terms = {(j0, e): c
+                 for j0, t in enumerate(self._transcript(i, j, qi, ci, qj, cj, quotients))
+                 for e, c in t.items()}
+        if terms:
+            self.syzygies.append(ModuleVector(self.syzygy_module, terms))
 
     # -- reduced basis ----------------------------------------------------
 
@@ -303,12 +304,36 @@ class ModuleGroebner:
                 kept_lifts[k] = [p.scale(inv) for p in kept_lifts[k]]
         return kept, kept_lifts
 
+    def share_exponents(self):
+        """Rebuild the reduced basis, its lifts and the syzygies so that
+        equal exponent tuples, and equal (component, exponents) keys, are
+        one object: the engine makes a fresh tuple for every product term,
+        and a kept presentation would otherwise hold one per term."""
+        exps, keys = {}, {}
+
+        def poly(p):
+            if not p:
+                return p
+            return Polynomial(p.ring, {exps.setdefault(e, e): c
+                                       for e, c in p.terms.items()})
+
+        def vector(v):
+            terms = {}
+            for (i, e), c in v.terms.items():
+                e = exps.setdefault(e, e)
+                terms[keys.setdefault((i, e), (i, e))] = c
+            return ModuleVector(v.module, terms)
+
+        self.reduced = [vector(v) for v in self.reduced]
+        self.reduced_lifts = [[poly(p) for p in lift] for lift in self.reduced_lifts]
+        self.syzygies = [vector(v) for v in self.syzygies]
+
     # -- queries -----------------------------------------------------------
 
     def normal_form(self, v: ModuleVector):
         """(remainder, lift) with v - remainder = sum(lift_j * input_j)."""
         remainder, quotients = vector_normal_form(v, self.reduced)
-        lift = [self.ring.zero] * len(self.inputs)
+        lift = [self.ring.zero] * self.syzygy_module.rank
         for k, q in enumerate(quotients):
             if q.is_zero():
                 continue
@@ -343,11 +368,14 @@ class IdealPresentation:
             [poly_to_vector(g, self.free) for g in gens],
             max_degree=max_degree,
         )
-        self.gb = [b.coordinate(0) for b in self._engine.reduced]
-        self.gb_lifts = self._engine.reduced_lifts
         self.syzygies = self._engine.syzygies
         self.syzygy_module = self._engine.syzygy_module
         self.trim_syzygies()
+        # what the presentation keeps, rebuilt on shared exponent tuples
+        self._engine.share_exponents()
+        self.syzygies = self._engine.syzygies
+        self.gb = [b.coordinate(0) for b in self._engine.reduced]
+        self.gb_lifts = self._engine.reduced_lifts
 
     def normal_form(self, p: Polynomial):
         """(nf, lift) with p - nf = sum(lift_j * gens_j)."""

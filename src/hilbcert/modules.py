@@ -52,13 +52,15 @@ class FreeModule:
 
 
 class ModuleVector:
-    """Element of a FreeModule; immutable by convention."""
+    """Element of a FreeModule; immutable by convention, which lets it
+    cache its leading term."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module", "terms", "_lead")
 
     def __init__(self, module: FreeModule, terms: dict):
         self.module = module
         self.terms = terms
+        self._lead = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -114,10 +116,12 @@ class ModuleVector:
 
     def leading_term(self):
         """(component, exponents) maximal in the module order."""
-        if not self.terms:
-            raise ValueError("zero vector has no leading term")
-        key = self.module.order_key
-        return max(self.terms, key=lambda k: key(*k))
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero vector has no leading term")
+            key = self.module.order_key
+            self._lead = max(self.terms, key=lambda k: key(*k))
+        return self._lead
 
     def leading_coefficient(self):
         return self.terms[self.leading_term()]

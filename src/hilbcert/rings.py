@@ -8,6 +8,8 @@ trailing exponents are smaller wins.
 
 from __future__ import annotations
 
+from operator import add
+
 from .fields import QQ, field_name
 
 _MAX_EXPONENT = 1 << 16
@@ -135,7 +137,7 @@ class GradedRing:
 
 
 def mul_exps(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def div_exps(a, b):
@@ -205,6 +207,8 @@ class Polynomial:
         return Polynomial(self.ring, terms)
 
     def scale(self, c) -> "Polynomial":
+        if not self.terms:
+            return self
         f = self.ring.field
         c = f.of(c)
         if c == f.zero:

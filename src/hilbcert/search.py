@@ -38,6 +38,8 @@ class CandidateShape:
 
     def __init__(self, added_vars, socle, codim, field=DEFAULT_FIELD,
                  base_vars=(), base_gens=(), base_regularity=None, seed=0):
+        if not field.char:
+            raise ValueError(f"the hunt needs a prime field GF(p), not {field_name(field)}")
         if added_vars < 0 or (added_vars == 0 and not base_vars):
             raise ValueError("need at least one variable")
         if socle < 1:
@@ -154,6 +156,8 @@ HIT_VERDICTS = ("TNT-elementary", "smooth-elementary")
 def screen(shape: CandidateShape, count: int, out_dir=None):
     """Run the template `count` times; returns a summary and persists
     deduplicated hits when an output directory is given."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, not {count}")
     outcomes = [_screen_one(shape, shape.seed + i) for i in range(count)]
     summary = {
         "count": count,

@@ -12,10 +12,24 @@
 - Trimming a generating set: keep a vector unless the Groebner basis of
   the ones kept so far contains it, building a fresh basis per kept vector.
   `groebner.minimal_generators` must agree with it.
+- The Buchberger engine's bookkeeping as it was: every leading term a fresh
+  maximum over the module order, the lead list rebuilt for each normal
+  form, each quotient grown by one polynomial addition per reduction step,
+  and transcripts and lifts composed by polynomial products and sums.
+  `groebner.ModuleGroebner`, which caches leading terms, keeps its lead
+  list and composes term dicts, must agree with it term for term.
+- Nilpotency of a finite module's variables by shrinking the image span of
+  each matrix with one elimination per multiplication.
+  `FiniteModule.has_nilpotent_action`, which squares the matrices instead,
+  must agree with it.
 """
 
-from hilbcert.groebner import ModuleGroebner
-from hilbcert.linalg import matvec, nullspace, rank, row_space_basis
+import heapq
+
+from hilbcert.groebner import ModuleGroebner, _heap_key
+from hilbcert.linalg import identity, matvec, nullspace, rank, row_space_basis
+from hilbcert.modules import ModuleVector
+from hilbcert.rings import Polynomial, div_exps, lcm_exps, mul_exps
 
 
 def independent_greedy(base, candidates, ncols, field):
@@ -27,6 +41,199 @@ def independent_greedy(base, candidates, ncols, field):
             current = row_space_basis(trial, ncols, field)
             kept.append(i)
     return kept
+
+
+def fresh_leading_term(v):
+    """The module-order maximum of v's terms, computed afresh."""
+    key = v.module.order_key
+    return max(v.terms, key=lambda k: key(*k))
+
+
+def normal_form_reference(v, basis):
+    """(remainder, quotients) as `groebner.vector_normal_form`."""
+    module = v.module
+    ring = module.ring
+    f = ring.field
+    zero = f.zero
+    leads = [fresh_leading_term(b) for b in basis]
+    quotients = [ring.zero] * len(basis)
+    remainder = {}
+    work = dict(v.terms)
+    heap = [(_heap_key(module, c, e), (c, e)) for (c, e) in work]
+    heapq.heapify(heap)
+    while heap:
+        _, t = heapq.heappop(heap)
+        coeff = work.get(t)
+        if coeff is None:
+            continue
+        comp, exps = t
+        hit = None
+        for k, (bcomp, bexps) in enumerate(leads):
+            if bcomp != comp:
+                continue
+            q = div_exps(exps, bexps)
+            if q is not None:
+                hit = (k, q)
+                break
+        if hit is None:
+            remainder[t] = coeff
+            del work[t]
+            continue
+        k, q = hit
+        factor = f.div(coeff, basis[k].terms[leads[k]])
+        quotients[k] = quotients[k] + Polynomial(ring, {q: factor})
+        for (bc, be), bcoef in basis[k].terms.items():
+            nt = (bc, mul_exps(be, q))
+            delta = f.mul(factor, bcoef)
+            cur = work.get(nt)
+            if cur is None:
+                val = f.neg(delta)
+                if val != zero:
+                    work[nt] = val
+                    heapq.heappush(heap, (_heap_key(module, bc, nt[1]), nt))
+            else:
+                val = f.sub(cur, delta)
+                if val == zero:
+                    del work[nt]
+                else:
+                    work[nt] = val
+    return ModuleVector(module, remainder), quotients
+
+
+class ReferenceGroebner(ModuleGroebner):
+    """The engine with its bookkeeping as it was; attributes as
+    `ModuleGroebner`."""
+
+    def _add(self, v, lift, pairs, counter):
+        k = len(self.basis)
+        comp, exps = fresh_leading_term(v)
+        for i, b in enumerate(self.basis):
+            bcomp, bexps = fresh_leading_term(b)
+            if bcomp != comp:
+                continue
+            lcm = lcm_exps(exps, bexps)
+            d = self.module.term_degree(comp, lcm)
+            if self.max_degree is not None and d > self.max_degree:
+                continue
+            counter += 1
+            heapq.heappush(pairs, (d, counter, i, k))
+        self.basis.append(v)
+        self.lifts.append(lift)
+        return counter
+
+    def _process_pair(self, i, j, pairs, counter):
+        f = self.ring.field
+        bi, bj = self.basis[i], self.basis[j]
+        (comp, ei) = fresh_leading_term(bi)
+        (_, ej) = fresh_leading_term(bj)
+        lcm = lcm_exps(ei, ej)
+        qi = div_exps(lcm, ei)
+        qj = div_exps(lcm, ej)
+        ci = f.inv(bi.terms[(comp, ei)])
+        cj = f.inv(bj.terms[(comp, ej)])
+        spair = bi.term_mul(qi, ci) - bj.term_mul(qj, cj)
+        remainder, quotients = normal_form_reference(spair, self.basis)
+        if remainder.is_zero():
+            self._record_syzygy(i, j, qi, ci, qj, cj, quotients)
+            return counter
+        lift = self._combine_lifts(quotients, extra=[(i, qi, ci), (j, qj, f.neg(cj))])
+        return self._add(remainder, lift, pairs, counter)
+
+    def _combine_lifts(self, quotients, extra=()):
+        ring = self.ring
+        lift = [ring.zero] * len(self.inputs)
+        for idx, exps, coeff in extra:
+            term = Polynomial(ring, {exps: coeff})
+            for j, p in enumerate(self.lifts[idx]):
+                if p:
+                    lift[j] = lift[j] + term * p
+        for k, q in enumerate(quotients):
+            if q.is_zero():
+                continue
+            for j, p in enumerate(self.lifts[k]):
+                if p:
+                    lift[j] = lift[j] - q * p
+        return lift
+
+    def _record_syzygy(self, i, j, qi, ci, qj, cj, quotients):
+        ring = self.ring
+        coeffs = [ring.zero] * len(self.basis)
+        coeffs[i] = coeffs[i] + Polynomial(ring, {qi: ci})
+        coeffs[j] = coeffs[j] - Polynomial(ring, {qj: cj})
+        for k, q in enumerate(quotients):
+            if q:
+                coeffs[k] = coeffs[k] - q
+        out = [ring.zero] * len(self.inputs)
+        for k, c in enumerate(coeffs):
+            if c.is_zero():
+                continue
+            for j0, p in enumerate(self.lifts[k]):
+                if p:
+                    out[j0] = out[j0] + c * p
+        syz = self.syzygy_module.from_polys(out)
+        if syz:
+            self.syzygies.append(syz)
+
+    def _interreduce(self):
+        order = sorted(
+            range(len(self.basis)),
+            key=lambda k: self.module.order_key(*fresh_leading_term(self.basis[k])),
+        )
+        kept = []
+        kept_lifts = []
+        lead_list = []
+        for k in order:
+            comp, exps = lt = fresh_leading_term(self.basis[k])
+            if any(
+                bcomp == comp and div_exps(exps, bexps) is not None
+                for bcomp, bexps in lead_list
+            ):
+                continue
+            kept.append(self.basis[k])
+            kept_lifts.append(list(self.lifts[k]))
+            lead_list.append(lt)
+        changed = True
+        while changed:
+            changed = False
+            for k in range(len(kept)):
+                others = kept[:k] + kept[k + 1 :]
+                other_lifts = kept_lifts[:k] + kept_lifts[k + 1 :]
+                remainder, quotients = normal_form_reference(kept[k], others)
+                if any(q for q in quotients):
+                    changed = True
+                    lift = list(kept_lifts[k])
+                    for idx, q in enumerate(quotients):
+                        if q.is_zero():
+                            continue
+                        for j, p in enumerate(other_lifts[idx]):
+                            if p:
+                                lift[j] = lift[j] - q * p
+                    kept[k] = remainder
+                    kept_lifts[k] = lift
+        f = self.ring.field
+        for k in range(len(kept)):
+            c = kept[k].terms[fresh_leading_term(kept[k])]
+            if c != f.one:
+                inv = f.inv(c)
+                kept[k] = kept[k].scale(inv)
+                kept_lifts[k] = [p.scale(inv) for p in kept_lifts[k]]
+        return kept, kept_lifts
+
+
+def nilpotent_by_spans(module):
+    """True when every variable of the finite module acts nilpotently:
+    the image span of each matrix's powers, re-reduced after every
+    multiplication, dies within dim + 1 steps."""
+    f = module.ring.field
+    for m in module.matrices:
+        span = identity(module.dim, f)
+        for _ in range(module.dim + 1):
+            span = row_space_basis([matvec(m, row, f) for row in span], module.dim, f)
+            if not span:
+                break
+        if span:
+            return False
+    return True
 
 
 class _MembershipEngine(ModuleGroebner):

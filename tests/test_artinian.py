@@ -1,12 +1,19 @@
 import pytest
 
 from conftest import random_zero_dim_ideal, rng_for
-from hilbcert.artinian import ArtinianQuotient, HilbertFunction, series_string, submodule
+from hilbcert.artinian import (
+    ArtinianQuotient,
+    FiniteModule,
+    HilbertFunction,
+    series_string,
+    submodule,
+)
 from hilbcert.fields import GF, QQ
 from hilbcert.groebner import IdealPresentation
 from hilbcert.parsing import parse_polynomial
 from hilbcert.rings import GradedRing
 
+import loop_reference
 import oracle
 
 
@@ -59,6 +66,40 @@ def test_nilpotency_detection():
     assert origin.has_nilpotent_action()
     shifted = ArtinianQuotient(_ideal(("x^2 - x", "y")))
     assert not shifted.has_nilpotent_action()
+
+
+def _jordan(field, blocks):
+    """Block-diagonal matrix of Jordan blocks, given as (size, eigenvalue)."""
+    n = sum(size for size, _ in blocks)
+    m = [[field.zero] * n for _ in range(n)]
+    at = 0
+    for size, value in blocks:
+        for i in range(size):
+            m[at + i][at + i] = field.of(value)
+            if i + 1 < size:
+                m[at + i][at + i + 1] = field.one
+        at += size
+    return m
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ])
+def test_nilpotency_by_squaring_matches_span_loop(field):
+    modules = []
+    for seed in range(4):
+        for homogeneous in (True, False):
+            ideal = random_zero_dim_ideal(rng_for(300 + seed), field=field,
+                                          homogeneous=homogeneous)
+            modules.append(ArtinianQuotient(ideal))
+    modules.append(ArtinianQuotient(_ideal(("x^2 - x", "y"), field=field)))
+    ring = GradedRing(["x"], None, field)
+    # nilpotent of index 5 (above the largest power of two below the size),
+    # 4 and 8, then with one invertible block
+    for blocks in ([(5, 0)], [(4, 0), (1, 0)], [(8, 0)], [(3, 0), (1, 1)]):
+        n = sum(size for size, _ in blocks)
+        modules.append(FiniteModule(ring, [0] * n, [_jordan(field, blocks)]))
+    verdicts = [mod.has_nilpotent_action() for mod in modules]
+    assert verdicts == [loop_reference.nilpotent_by_spans(mod) for mod in modules]
+    assert True in verdicts and False in verdicts
 
 
 def test_filtration_start_homogeneous():

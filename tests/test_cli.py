@@ -118,5 +118,19 @@ def test_hunt_bounds_error(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_hunt_needs_a_prime_field(capsys):
+    assert main(["hunt", "--vars", "3", "--socle", "2", "--codim", "1",
+                 "--field", "QQ"]) == 4
+    assert "prime field GF(p)" in capsys.readouterr().err
+
+
+def test_hunt_rejects_negative_count(capsys):
+    assert main(["hunt", "--vars", "3", "--socle", "2", "--codim", "1",
+                 "--count", "-2"]) == 4
+    captured = capsys.readouterr()
+    assert "non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file(capsys):
     assert main(["certify", "/nonexistent/file.txt"]) == 4

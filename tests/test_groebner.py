@@ -226,3 +226,70 @@ def test_inhomogeneous_presentation_keeps_transcripts():
     assert ideal.syzygies == _transcripts(ideal)
     with pytest.raises(ValueError, match="homogeneous"):
         minimal_generators(_generator_vectors(ideal))
+
+
+class _KeepWorkingBasis(ModuleGroebner):
+    """The engine, keeping its working basis and lead list after the run."""
+
+    def _run(self):
+        super()._run()
+        self.working = list(zip(self.basis, self.leads))
+
+
+def _assert_engine_matches_reference(module, vectors, rng):
+    engine = _KeepWorkingBasis(module, vectors)
+    ref = loop_reference.ReferenceGroebner(module, vectors)
+    assert engine.reduced == ref.reduced
+    assert engine.reduced_lifts == ref.reduced_lifts
+    assert engine.syzygies == ref.syzygies
+    fresh = loop_reference.fresh_leading_term
+    for b, lead in engine.working:
+        assert lead == b.leading_term() == fresh(b)
+    for v in engine.reduced + engine.syzygies:
+        assert v.leading_term() == fresh(v)
+        assert v.leading_coefficient() == v.terms[fresh(v)]
+    # normal forms of multiples of the inputs plus a random vector
+    ring = module.ring
+    probes = [v.term_mul(m, ring.field.one) for v in vectors if v
+              for m in rng.sample(ring.monomials_of_degree(1), 2)]
+    probes.append(poly_to_vector(random_poly(ring, rng), module)
+                  if module.rank == 1 else vectors[0])
+    for v in probes:
+        remainder, quotients = vector_normal_form(v, engine.reduced)
+        assert (remainder, quotients) == loop_reference.normal_form_reference(
+            v, engine.reduced)
+        rebuilt = remainder
+        for q, b in zip(quotients, engine.reduced):
+            rebuilt = rebuilt + b.poly_mul(q)
+        assert rebuilt == v
+    return ref
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_engine_matches_reference_on_conftest_ideals(field, homogeneous):
+    for seed in range(4):
+        rng = rng_for(900 + seed)
+        ideal = random_zero_dim_ideal(rng, field=field, homogeneous=homogeneous)
+        ref = _assert_engine_matches_reference(
+            ideal.free, _generator_vectors(ideal), rng)
+        # the presentation keeps the same results, exponents shared
+        assert ideal.gb_lifts == ref.reduced_lifts
+        assert ideal.gb == [b.coordinate(0) for b in ref.reduced]
+        trimmed = (minimal_generators(ref.syzygies) if ideal.homogeneous
+                   else ref.syzygies)
+        assert ideal.syzygies == trimmed
+        # and a syzygy module, with its degree shifts
+        _assert_engine_matches_reference(
+            ideal.syzygy_module, ideal.koszul_vectors(), rng)
+
+
+@pytest.mark.parametrize("shape_args", [(4, 2, 3), (4, 2, 1)])
+@pytest.mark.parametrize("field", [GF(3), F101])
+def test_engine_matches_reference_on_hunt_candidates(shape_args, field):
+    shape = search.CandidateShape(*shape_args, field=field)
+    candidate = search.random_candidate(shape, 12)
+    ref = _assert_engine_matches_reference(
+        candidate.free, _generator_vectors(candidate), rng_for(12))
+    assert candidate.syzygies == minimal_generators(ref.syzygies)
+    assert candidate.gb_lifts == ref.reduced_lifts

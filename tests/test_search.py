@@ -1,11 +1,14 @@
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from hilbcert.certify import elementary_certificate
 from hilbcert.cli import _load_ideal
 from hilbcert.fields import GF
+from hilbcert import search
 from hilbcert.search import CandidateShape, random_candidate, screen
 
 
@@ -92,3 +95,32 @@ def test_screen_deterministic():
     b = screen(shape, 3)
     assert a["log"] == b["log"]
     assert a["verdicts"] == b["verdicts"]
+
+
+def test_hunt_outcome_stays_lean(monkeypatch):
+    """Memory one captured screening outcome (presentation plus
+    certificate) keeps alive.  A benchmark that holds every outcome of a
+    run until after the timed region pays this once per candidate."""
+    captured = []
+    screen_one = search._screen_one
+
+    def capture(shape, seed):
+        outcome = screen_one(shape, seed)
+        captured.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(search, "_screen_one", capture)
+    tracemalloc.start()
+    try:
+        for k, shape_args in enumerate([(4, 2, 3), (4, 2, 1)] * 2):
+            screen(CandidateShape(*shape_args, seed=20 + k), 1)
+        assert all("certificate" in o for o in captured)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        count = len(captured)
+        captured.clear()
+        gc.collect()
+        retained = (held - tracemalloc.get_traced_memory()[0]) / count
+    finally:
+        tracemalloc.stop()
+    assert retained < 90 * 1024
