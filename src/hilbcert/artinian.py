@@ -77,30 +77,8 @@ class FiniteModule:
         self.matrices = matrices
         self._monomial_matrices = {(0,) * ring.n: identity(self.dim, ring.field)}
 
-    def zero_vector(self):
-        return [self.ring.field.zero] * self.dim
-
     def apply_var(self, i: int, vec):
         return matvec(self.matrices[i], vec, self.ring.field)
-
-    def apply_monomial(self, exps, vec):
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                vec = self.apply_var(i, vec)
-                if not any(vec):
-                    return vec
-        return vec
-
-    def act(self, p: Polynomial, vec):
-        """The vector p * vec."""
-        f = self.ring.field
-        out = self.zero_vector()
-        for exps, c in p.terms.items():
-            image = self.apply_monomial(exps, list(vec))
-            for j, x in enumerate(image):
-                if x != f.zero:
-                    out[j] = f.add(out[j], f.mul(c, x))
-        return out
 
     def monomial_matrix(self, exps):
         """Matrix of multiplication by x^exps, memoized."""
@@ -223,13 +201,6 @@ class ArtinianQuotient(FiniteModule):
     def poly_vector(self, p: Polynomial):
         """Coordinates of the class of p on the standard-monomial basis."""
         return self._reduce_to_vector(p)
-
-    def vector_poly(self, vec) -> Polynomial:
-        f = self.ring.field
-        return Polynomial(
-            self.ring,
-            {e: c for e, c in zip(self.monomials, vec) if c != f.zero},
-        )
 
     def socle_degree(self) -> int:
         return self.top_degree()

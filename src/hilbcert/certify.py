@@ -29,7 +29,6 @@ from .homology import (
     hom_nonneg_filtration,
     hom_space,
     image_matrix,
-    second_syzygy_engine,
     t2_space,
 )
 from .linalg import mat_mul, rank
@@ -135,14 +134,15 @@ def fingerprint(ideal: IdealPresentation) -> dict:
 
 
 class TNTData:
-    """Working data behind the trivial-negative-tangents decision."""
+    """Working data behind the trivial-negative-tangents decision, from
+    Hom(I, S/I) on the ideal's own generators."""
 
-    def __init__(self, ideal, quotient):
+    def __init__(self, ideal, hom):
         ring = ideal.ring
         f = ring.field
         self.ideal = ideal
-        self.quotient = quotient
-        self.hom = hom_space(Presentation.of_ideal(ideal), quotient)
+        self.hom = hom
+        quotient = hom.target
         # the translation along x_i sends each generator to its partial
         deriv_rows = [
             [x for g in ideal.gens for x in quotient.poly_vector(g.partial(i))]
@@ -212,8 +212,7 @@ class TNTData:
         return out
 
 
-def _quotient_checked(ideal: IdealPresentation) -> ArtinianQuotient:
-    quotient = ArtinianQuotient(ideal)
+def _origin_checked(quotient: ArtinianQuotient) -> ArtinianQuotient:
     if not quotient.has_nilpotent_action():
         raise ValueError("subscheme is not supported at the origin")
     return quotient
@@ -222,13 +221,14 @@ def _quotient_checked(ideal: IdealPresentation) -> ArtinianQuotient:
 def tnt_check(ideal: IdealPresentation):
     """Trivial-negative-tangents decision: 'true', 'false', or
     'inconclusive', with the exact dimension payload."""
-    data = TNTData(ideal, _quotient_checked(ideal))
+    quotient = _origin_checked(ArtinianQuotient(ideal))
+    data = TNTData(ideal, hom_space(Presentation.of_ideal(ideal), quotient))
     return data.result, data.payload()
 
 
 def elementary_certificate(ideal: IdealPresentation) -> Certificate:
     t0 = time.perf_counter()
-    quotient = _quotient_checked(ideal)
+    quotient = _origin_checked(ArtinianQuotient(ideal))
     hf = quotient.hilbert_function()
     checks = [
         Check(
@@ -238,20 +238,19 @@ def elementary_certificate(ideal: IdealPresentation) -> Certificate:
         ),
         Check("origin-support", {}, True),
     ]
-    tnt = TNTData(ideal, quotient)
+    tnt = TNTData(ideal, hom_space(Presentation.of_ideal(ideal), quotient))
     checks.append(Check("trivial-negative-tangents", tnt.payload(),
                         tnt.result == "true"))
     dimension = None
     if tnt.result == "true" and ideal.homogeneous:
-        engine = second_syzygy_engine(ideal, quotient)
-        ext1 = ext1_space(ideal, quotient, syz_engine=engine)
+        ext1 = ext1_space(ideal, quotient)
         payload = {
             "ext1_series": ext1.series(),
             "dim_ext1_nonneg": ext1.dim_nonneg(),
         }
         vanishes = ext1.dim_nonneg() == 0
         if not vanishes:
-            t2 = t2_space(ideal, quotient, ext1=ext1, syz_engine=engine)
+            t2 = t2_space(ideal, ext1)
             payload["t2_series"] = t2.series()
             payload["dim_t2_nonneg"] = t2.dim_nonneg()
             vanishes = t2.dim_nonneg() == 0
@@ -314,7 +313,9 @@ def pair_certificate(M: IdealPresentation, R: IdealPresentation,
         )
     )
     checks.append(Check("exact-sequence-bookkeeping", {}, dm.exactness_ok))
-    tnt = TNTData(R, _quotient_checked(R))
+    # the diagram's Hom(I_R, S/I_R) is on R's own generators
+    _origin_checked(dm.hom_big.target)
+    tnt = TNTData(R, dm.hom_big)
     checks.append(Check("trivial-negative-tangents", tnt.payload(),
                         tnt.result == "true"))
     n = M.ring.n

@@ -354,7 +354,7 @@ class IdealPresentation:
     otherwise they are every Groebner transcript syzygy.
     """
 
-    def __init__(self, ring: GradedRing, gens, max_degree=None):
+    def __init__(self, ring: GradedRing, gens):
         gens = [g for g in gens]
         if not gens:
             raise ValueError("ideal needs at least one generator")
@@ -364,9 +364,7 @@ class IdealPresentation:
         self.gen_degrees = [g.degree() for g in gens]
         self.free = FreeModule(ring, (0,))
         self._engine = ModuleGroebner(
-            self.free,
-            [poly_to_vector(g, self.free) for g in gens],
-            max_degree=max_degree,
+            self.free, [poly_to_vector(g, self.free) for g in gens]
         )
         self.syzygies = self._engine.syzygies
         self.syzygy_module = self._engine.syzygy_module
@@ -374,8 +372,11 @@ class IdealPresentation:
         # what the presentation keeps, rebuilt on shared exponent tuples
         self._engine.share_exponents()
         self.syzygies = self._engine.syzygies
-        self.gb = [b.coordinate(0) for b in self._engine.reduced]
-        self.gb_lifts = self._engine.reduced_lifts
+
+    @property
+    def gb(self):
+        """The reduced Groebner basis as polynomials."""
+        return [b.coordinate(0) for b in self._engine.reduced]
 
     def normal_form(self, p: Polynomial):
         """(nf, lift) with p - nf = sum(lift_j * gens_j)."""
@@ -391,7 +392,7 @@ class IdealPresentation:
         return self.reduce(p).is_zero()
 
     def leading_exponents(self):
-        return [g.leading_monomial() for g in self.gb]
+        return [b.leading_term()[1] for b in self._engine.reduced]
 
     def koszul_vectors(self):
         """g_i e_j - g_j e_i over the generators: the trivial syzygies."""

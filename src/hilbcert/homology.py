@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from .artinian import ArtinianQuotient, FiniteModule, series_string, submodule
 from .groebner import IdealPresentation, ModuleGroebner
-from .linalg import (
-    independent_modulo,
-    left_nullspace,
-    mat_mul,
-    matvec,
-    nullspace,
-    rank,
-)
+from .linalg import independent_modulo, left_nullspace, mat_mul, nullspace, rank
 from .modules import FreeModule
 
 
@@ -267,12 +260,14 @@ def _by_degree(pairs):
 
 class Ext1Space:
     """Ext^1(M, N) presented as Hom(first syzygies, N) modulo restrictions
-    of Hom(free cover, N)."""
+    of Hom(free cover, N).  `rel_engine` is the Groebner data of the
+    relations it was built from; `t2_space` reuses it."""
 
-    def __init__(self, syz_hom: HomSpace, image_rows, graded):
+    def __init__(self, syz_hom: HomSpace, image_rows, graded, rel_engine):
         self.syz_hom = syz_hom
         self.image_rows = image_rows  # flattened, with degrees when graded
         self.graded = graded
+        self.rel_engine = rel_engine
         self._compute()
 
     def _compute(self):
@@ -325,7 +320,8 @@ def ext1_generic(ring, free_degrees, relation_vectors, target: FiniteModule,
     )
     rel_hom = hom_space(rel_pres, target)
     image_rows = _restriction_rows(free_degrees, relation_vectors, target, homogeneous)
-    return Ext1Space(rel_hom, image_rows, graded=homogeneous)
+    return Ext1Space(rel_hom, image_rows, graded=homogeneous,
+                     rel_engine=rel_engine)
 
 
 def relation_syzygy_engine(ring, free_degrees, relation_vectors, target, homogeneous):
@@ -339,22 +335,10 @@ def relation_syzygy_engine(ring, free_degrees, relation_vectors, target, homogen
     return ModuleGroebner(free, relation_vectors, max_degree=cap)
 
 
-def ext1_space(ideal: IdealPresentation, target: FiniteModule, syz_engine=None):
+def ext1_space(ideal: IdealPresentation, target: FiniteModule):
     """Ext^1(I, target) for an ideal against its chosen generators."""
-    return ext1_generic(
-        ideal.ring,
-        ideal.gen_degrees,
-        ideal.syzygies,
-        target,
-        ideal.homogeneous,
-        rel_engine=syz_engine,
-    )
-
-
-def second_syzygy_engine(ideal: IdealPresentation, target: FiniteModule):
-    return relation_syzygy_engine(
-        ideal.ring, ideal.gen_degrees, ideal.syzygies, target, ideal.homogeneous
-    )
+    return ext1_generic(ideal.ring, ideal.gen_degrees, ideal.syzygies, target,
+                        ideal.homogeneous)
 
 
 def _restriction_rows(free_degrees, relation_vectors, target, graded):
@@ -400,14 +384,13 @@ class T2Space:
         return series_string(self.dims)
 
 
-def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
-             syz_engine=None) -> T2Space:
+def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> T2Space:
+    """The obstruction classes inside `ext1 = ext1_space(ideal, target)`,
+    against the same target and through the same second-syzygy engine."""
     if not ideal.homogeneous:
         raise ValueError("obstruction space computation requires homogeneous input")
-    if syz_engine is None:
-        syz_engine = second_syzygy_engine(ideal, target)
-    if ext1 is None:
-        ext1 = ext1_space(ideal, target, syz_engine=syz_engine)
+    syz_engine = ext1.rel_engine
+    target = ext1.syz_hom.target
     f = ideal.ring.field
     # express each trivial (Koszul) syzygy in the first-syzygy generators;
     # one above the engine's degree cap lands above the target's top degree
@@ -447,11 +430,14 @@ def t2_space(ideal: IdealPresentation, target: FiniteModule, ext1=None,
 
 
 class DiagramMaps:
-    """Maps relating a subideal pair: the source ideal sits inside the
-    larger one, the quotient module J records the difference, and the
-    connecting maps measure how deformations of the big scheme restrict.
+    """What the relative criterion reads off a subideal pair: the source
+    ideal sits inside the larger one, the quotient module J records the
+    difference, and the connecting maps measure how deformations of the big
+    scheme restrict.
 
-    Built by `diagram_maps`; all fields are exact dimensions and flags.
+    Built by `diagram_maps`: Hom(I_R, S/I_R) (`hom_big`, whose target is
+    S/I_R), the Hom and Ext^1 spaces of the dimension count, and exact
+    surjectivity and exactness flags.
     """
 
 
@@ -460,22 +446,50 @@ def _rank_by_degree(pairs, width, field):
     return {d: rank(rows, width, field) for d, rows in _by_degree(pairs).items()}
 
 
-def _connecting_target(M, combined, m_lifts, j_pres, target):
-    """All data of the long exact sequence obtained by mapping the pair's
-    short exact sequence into one finite target module."""
+def post_composition(hom: HomSpace, pi):
+    """Flat rows of every hom in `hom` followed by the matrix `pi` out of
+    its target: one product per generator block."""
+    f = hom.target.ring.field
+    dim = hom.target.dim
+    images = image_matrix(hom.flat_rows())
+    rows = []
+    for j in range(hom.source.rank):
+        rows.extend(mat_mul(pi, images[j * dim : (j + 1) * dim], f))
+    return [list(col) for col in zip(*rows)]
+
+
+def _j_presentation(M, R):
+    """J = I_R / I_M as a source module.  Returns (extras, combined, J):
+    R's generators outside I_M, the ideal presented on the extras followed
+    by M's generators, and J generated by the extras with relations the
+    projections of the combined ideal's syzygies."""
     ring = M.ring
-    f = ring.field
-    h_rn = hom_space(Presentation.of_ideal(combined), target)
+    extras = [g for g in R.gens if not M.reduce(g).is_zero()]
+    combined = IdealPresentation(ring, extras + list(M.gens))
+    degrees = [g.degree() for g in extras]
+    j_free = FreeModule(ring, degrees)
+    relations = [j_free.from_polys(s.coordinates()[: len(extras)])
+                 for s in combined.syzygies]
+    return extras, combined, Presentation(ring, degrees, relations,
+                                          homogeneous=True)
+
+
+def _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, target):
+    """The long exact sequence obtained by mapping the pair's short exact
+    sequence into one finite target module."""
+    f = M.ring.field
+    h_rn = hom_space(Presentation.of_ideal(R), target)
     h_mn = hom_space(Presentation.of_ideal(M), target)
     h_jn = hom_space(j_pres, target)
-    e_jn = ext1_generic(ring, j_pres.gen_degrees, j_pres.relations, target, True)
+    e_jn = ext1_generic(M.ring, j_pres.gen_degrees, j_pres.relations, target,
+                        True, rel_engine=j_engine)
     width_m = len(M.gens) * target.dim
     # restriction: value of each Hom(I_R, N) basis element on the small
-    # ideal's generators, via the recorded lifts
+    # ideal's generators, via their lifts
     images = image_matrix(h_rn.flat_rows())
     values = []
-    for lv in m_lifts:
-        values.extend(evaluate(actions(lv.coordinates(), target), images, target))
+    for lift in m_lifts:
+        values.extend(evaluate(actions(lift, target), images, target))
     rho_pairs = [(h.degree, [row[i] for row in values])
                  for i, h in enumerate(h_rn.elements)]
     rho_rank = _rank_by_degree(rho_pairs, width_m, f)
@@ -492,13 +506,10 @@ def _connecting_target(M, combined, m_lifts, j_pres, target):
     width_s = len(combined.syzygies) * target.dim
     reps_by_deg = _by_degree((d, h.flatten()) for d, h in e_jn.representatives)
     induced_kernel = {}
-    connecting_surjective = {}
     for d, dim_e in e_jn.dims.items():
-        image_rank = len(independent_modulo(
+        induced_kernel[d] = dim_e - len(independent_modulo(
             img_by_deg.get(d, []), reps_by_deg.get(d, []), width_s, f
         ))
-        induced_kernel[d] = dim_e - image_rank
-        connecting_surjective[d] = image_rank == 0
     # exactness bookkeeping along the five-term sequence, per degree
     exact = True
     degrees = set(h_rn_dims) | set(h_mn_dims) | set(h_jn_dims) | set(e_jn.dims)
@@ -513,9 +524,6 @@ def _connecting_target(M, combined, m_lifts, j_pres, target):
         "hom_small": h_mn,
         "hom_j": h_jn,
         "ext_j": e_jn,
-        "rho_rank": rho_rank,
-        "induced_kernel": induced_kernel,
-        "connecting_surjective_by_degree": connecting_surjective,
         "connecting_surjective_all": all(
             induced_kernel[d] == e_jn.dims[d] for d in e_jn.dims
         ),
@@ -531,9 +539,9 @@ def diagram_maps(M: IdealPresentation, R: IdealPresentation):
 
     M's ideal must be contained in R's; J denotes the quotient ideal
     (R's ideal modulo M's).  Returns a DiagramMaps record with Hom and
-    Ext^1 data against both quotients, the post-composition map on
-    tangents, restriction maps, connecting-map surjectivity in degrees
-    >= 0 and overall, and exactness bookkeeping.
+    Ext^1 data against both quotients, surjectivity of the post-composition
+    map on tangents and of the connecting maps, in degrees >= 0 and
+    overall, and exactness bookkeeping.
     """
     ring = M.ring
     if not ring.same_ring(R.ring):
@@ -541,59 +549,37 @@ def diagram_maps(M: IdealPresentation, R: IdealPresentation):
     if not (M.homogeneous and R.homogeneous):
         raise ValueError("pair comparison requires homogeneous ideals")
     f = ring.field
-    for g in M.gens:
-        if not R.reduce(g).is_zero():
-            raise ValueError("first ideal is not contained in the second")
-    q_m = ArtinianQuotient(M)
-    extras = [g for g in R.gens if not M.reduce(g).is_zero()]
-    combined = IdealPresentation(ring, extras + list(M.gens))
-    q_r = ArtinianQuotient(combined)
-    # lifts of M's generators into the combined generating set
+    # lifts of M's generators into R's generators
     m_lifts = []
     for g in M.gens:
-        nf, lift = combined.normal_form(g)
+        nf, lift = R.normal_form(g)
         if not nf.is_zero():
-            raise AssertionError("containment lift failed; this is a bug")
-        m_lifts.append(combined.syzygy_module.from_polys(lift))
+            raise ValueError("first ideal is not contained in the second")
+        m_lifts.append(lift)
+    q_m = ArtinianQuotient(M)
+    q_r = ArtinianQuotient(R)
+    extras, combined, j_pres = _j_presentation(M, R)
     # J as a target: the S-stable span of the extra generators inside S/I_M
     j_target, _ = submodule(q_m, [q_m.poly_vector(g) for g in extras])
-    # J as a source: generated by the extra generators, with relations the
-    # projections of the combined ideal's syzygies
-    nextra = len(extras)
-    j_free = FreeModule(ring, [g.degree() for g in extras])
-    projected = []
-    for s in combined.syzygies:
-        vec = j_free.from_polys(s.coordinates()[:nextra])
-        projected.append(vec)
-    j_pres = Presentation(ring, [g.degree() for g in extras], projected,
-                          homogeneous=True)
+    # one engine for J's relations serves both rows: S/I_M spans the wider
+    # degree range, and a relation above the cap for S/I_R maps into no
+    # degree of S/I_R
+    j_engine = relation_syzygy_engine(ring, j_pres.gen_degrees,
+                                      j_pres.relations, q_m, True)
+    big = _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, q_r)
+    small = _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, q_m)
     out = DiagramMaps()
-    out.quotient_small = q_m
-    out.quotient_big = q_r
-    out.combined = combined
-    out.extras = extras
-    out.j_target = j_target
-    out.j_pres = j_pres
-    # projection matrix S/I_M -> S/I_R on the standard-monomial bases
+    out.hom_big = big["hom_big"]
+    out.hom_mm = h_mm = small["hom_small"]
+    # post-composition on tangents, Hom(I_M, O_M) -> Hom(I_M, O_R), with
+    # the projection S/I_M -> S/I_R on the standard-monomial bases
     cols = [q_r.poly_vector(ring.monomial(e)) for e in q_m.monomials]
-    pi = [[cols[c][r] for c in range(q_m.dim)] for r in range(q_r.dim)]
-    out.pi = pi
-    # rows of the exact sequence against both targets
-    out.row_big = _connecting_target(M, combined, m_lifts, j_pres, q_r)
-    out.row_small = _connecting_target(M, combined, m_lifts, j_pres, q_m)
-    h_mm = out.row_small["hom_small"]
-    h_mr = out.row_big["hom_small"]
-    # post-composition on tangents: Hom(I_M, O_M) -> Hom(I_M, O_R)
-    width = len(M.gens) * q_r.dim
-    phi_pairs = []
-    for h in h_mm.elements:
-        flat = []
-        for v in h.images:
-            flat.extend(matvec(pi, v, f))
-        phi_pairs.append((h.degree, flat))
-    phi_rank = _rank_by_degree(phi_pairs, width, f)
-    mr_dims = h_mr.dims()
-    out.phi_rank = phi_rank
+    pi = [list(row) for row in zip(*cols)]
+    phi_rank = _rank_by_degree(
+        zip((h.degree for h in h_mm.elements), post_composition(h_mm, pi)),
+        len(M.gens) * q_r.dim, f,
+    )
+    mr_dims = big["hom_small"].dims()
     out.phi_surjective_all = all(
         phi_rank.get(d, 0) == v for d, v in mr_dims.items()
     )
@@ -601,22 +587,18 @@ def diagram_maps(M: IdealPresentation, R: IdealPresentation):
         phi_rank.get(d, 0) == v for d, v in mr_dims.items() if d >= 0
     )
     # Hom(I_M, J): kernel of the post-composition, checked by dimensions
-    h_mj = hom_space(Presentation.of_ideal(M), j_target)
-    out.hom_mj = h_mj
+    out.hom_mj = h_mj = hom_space(Presentation.of_ideal(M), j_target)
     mm_dims = h_mm.dims()
     mj_dims = h_mj.dims()
-    exact = out.row_big["exactness_ok"] and out.row_small["exactness_ok"]
+    exact = big["exactness_ok"] and small["exactness_ok"]
     for d in set(mm_dims) | set(mj_dims):
         if mm_dims.get(d, 0) - phi_rank.get(d, 0) != mj_dims.get(d, 0):
             exact = False
     out.exactness_ok = exact
-    out.hom_mm = h_mm
-    out.hom_mr = h_mr
-    out.hom_jr = out.row_big["hom_j"]
-    out.ext_jr = out.row_big["ext_j"]
-    out.ext_jm = out.row_small["ext_j"]
-    out.partial_surjective_nonneg = out.row_big["connecting_surjective_nonneg"]
-    out.partial_surjective_all = out.row_big["connecting_surjective_all"]
-    out.psi_surjective_nonneg = out.row_small["connecting_surjective_nonneg"]
-    out.psi_surjective_all = out.row_small["connecting_surjective_all"]
+    out.hom_jr = big["hom_j"]
+    out.ext_jr = big["ext_j"]
+    out.partial_surjective_nonneg = big["connecting_surjective_nonneg"]
+    out.partial_surjective_all = big["connecting_surjective_all"]
+    out.psi_surjective_nonneg = small["connecting_surjective_nonneg"]
+    out.psi_surjective_all = small["connecting_surjective_all"]
     return out

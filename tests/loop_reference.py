@@ -22,6 +22,12 @@
   each matrix with one elimination per multiplication.
   `FiniteModule.has_nilpotent_action`, which squares the matrices instead,
   must agree with it.
+- Acting with a polynomial on a vector one variable at a time (`act`).
+  `FiniteModule.poly_matrix`, built from memoized monomial matrices, must
+  agree with it.
+- Post-composing homs with a matrix one hom and one generator image at a
+  time.  `homology.post_composition`, one product per generator block, must
+  agree with it.
 """
 
 import heapq
@@ -257,6 +263,52 @@ def groebner_trim(vectors):
     return kept
 
 
+def apply_monomial(module, exps, vec):
+    """The vector x^exps * vec, one variable matrix at a time."""
+    for i, e in enumerate(exps):
+        for _ in range(e):
+            vec = module.apply_var(i, vec)
+            if not any(vec):
+                return vec
+    return vec
+
+
+def act(module, p, vec):
+    """The vector p * vec."""
+    f = module.ring.field
+    out = [f.zero] * module.dim
+    for exps, c in p.terms.items():
+        image = apply_monomial(module, exps, list(vec))
+        for j, x in enumerate(image):
+            if x != f.zero:
+                out[j] = f.add(out[j], f.mul(c, x))
+    return out
+
+
+def vector_poly(quotient, vec):
+    """The polynomial on the quotient's standard monomials with
+    coordinates `vec`."""
+    f = quotient.ring.field
+    return Polynomial(
+        quotient.ring,
+        {e: c for e, c in zip(quotient.monomials, vec) if c != f.zero},
+    )
+
+
+def post_composition_rank(hom, pi):
+    """Rank per degree of the homs in `hom` followed by `pi`, each generator
+    image mapped by its own matvec."""
+    f = hom.target.ring.field
+    width = hom.source.rank * len(pi)
+    rows = {}
+    for h in hom.elements:
+        flat = []
+        for v in h.images:
+            flat.extend(matvec(pi, v, f))
+        rows.setdefault(h.degree, []).append(flat)
+    return {d: rank(r, width, f) for d, r in rows.items()}
+
+
 def unflatten(vec, r, dimn):
     return [vec[j * dimn : (j + 1) * dimn] for j in range(r)]
 
@@ -265,7 +317,7 @@ def evaluate_polys(polys, images, target):
     """Value sum(p_j acting on images_j) of one hom, given by its generator
     images, on the vector with coordinates `polys`."""
     f = target.ring.field
-    out = target.zero_vector()
+    out = [f.zero] * target.dim
     for j, p in enumerate(polys):
         if p.is_zero():
             continue

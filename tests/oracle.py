@@ -1,17 +1,18 @@
-"""Brute-force reference computations for graded Hom spaces.
+"""Brute-force reference computations for graded Hom spaces and minimal
+syzygy degrees.
 
 Everything here works degree by degree with plain linear algebra on monomial
 coordinates: the degree-e piece of a homogeneous ideal is spanned by the
 monomial multiples of its generators, the quotient piece is a complement of
 pivot columns, and a homomorphism of graded degree d is a family of linear
 maps I_e -> (S/I)_{e+d} commuting with multiplication by each variable.
-No Groebner bases, normal forms, or syzygies are involved, so these numbers
+No Groebner bases or normal forms are involved, so these numbers
 are an independent check on the main library.
 """
 
 from __future__ import annotations
 
-from hilbcert.linalg import coordinates_in_rows, nullspace, rref
+from hilbcert.linalg import coordinates_in_rows, independent_modulo, nullspace, rref
 
 
 def ideal_piece(ring, gens, e):
@@ -188,3 +189,54 @@ def hom_dim(ring, gens, d, socle=None):
 def hom_dims(ring, gens, dmin, dmax):
     socle = socle_degree(ring, gens)
     return {d: hom_dim(ring, gens, d, socle=socle) for d in range(dmin, dmax + 1)}
+
+
+def minimal_syzygy_degrees(ring, gens, up_to):
+    """Degrees of a minimal generating set of the first-syzygy module,
+    computed degree by degree with plain linear algebra (kernel of the
+    evaluation map on monomial coordinates, modulo the variable multiples
+    of lower-degree kernels)."""
+    f = ring.field
+    gd = [g.degree() for g in gens]
+
+    def kernel_basis(d):
+        mons = ring.monomials_of_degree(d)
+        index = {m: j for j, m in enumerate(mons)}
+        cols = []  # one per (generator j, monomial of degree d - deg g_j)
+        labels = []
+        for j, g in enumerate(gens):
+            if gd[j] > d:
+                continue
+            for m in ring.monomials_of_degree(d - gd[j]):
+                col = [f.zero] * len(mons)
+                for ge, cc in g.terms.items():
+                    key = tuple(a + b for a, b in zip(ge, m))
+                    col[index[key]] = f.add(col[index[key]], cc)
+                cols.append(col)
+                labels.append((j, m))
+        matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(mons))]
+        return nullspace(matrix, len(cols), f), labels
+
+    out = {}
+    prev = None
+    for d in range(min(gd), up_to + 1):
+        kern, labels = kernel_basis(d)
+        shifted = []
+        if prev is not None:
+            pk, pl = prev
+            label_index = {lab: i for i, lab in enumerate(labels)}
+            for vec in pk:
+                for i in range(ring.n):
+                    row = [f.zero] * len(labels)
+                    for c, (j, m) in zip(vec, pl):
+                        if c != f.zero:
+                            key = (j, m[:i] + (m[i] + 1,) + m[i + 1 :])
+                            pos = label_index[key]
+                            row[pos] = f.add(row[pos], c)
+                    shifted.append(row)
+        # kernel vectors outside the span of the lower-degree multiples
+        new = len(independent_modulo(shifted, kern, len(labels), f))
+        if new:
+            out[d] = new
+        prev = (kern, labels)
+    return out

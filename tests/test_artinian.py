@@ -45,10 +45,10 @@ def test_quotient_basis_and_matrices():
     ring = q.ring
     x, y = ring.gens()
     vec = q.poly_vector(x * y + x)
-    assert q.vector_poly(vec) == x * y + x
+    assert loop_reference.vector_poly(q, vec) == x * y + x
     # multiplication by x kills x*y and x
-    out = q.act(x, vec)
-    assert q.vector_poly(out).is_zero() or q.vector_poly(out) == ring.zero
+    out = loop_reference.act(q, x, vec)
+    assert loop_reference.vector_poly(q, out).is_zero()
 
 
 def test_non_zero_dimensional_rejected():
@@ -151,6 +151,6 @@ def test_monomial_matrix_memoization_consistency():
     q = ArtinianQuotient(_ideal(("x^3", "y^2")))
     x, y = q.ring.gens()
     p = x**2 * y
-    direct = q.act(p, q.poly_vector(q.ring.one))
+    direct = loop_reference.act(q, p, q.poly_vector(q.ring.one))
     via_matrix = [row[q.index[(0, 0)]] for row in q.poly_matrix(p)]
     assert direct == via_matrix

@@ -131,12 +131,17 @@ def test_degree_cap_is_sound_for_homogeneous():
     ring = GradedRing(["x", "y", "z"], None, F101)
     x, y, z = ring.gens()
     gens = [x**2 + y * z, y**2, z**2 + x * y]
-    full = IdealPresentation(ring, gens)
-    capped = IdealPresentation(ring, gens, max_degree=4)
+    free = FreeModule(ring, (0,))
+    vectors = [poly_to_vector(g, free) for g in gens]
+    full = ModuleGroebner(free, vectors)
+    capped = ModuleGroebner(free, vectors, max_degree=4)
     probe = (x + y) ** 2 * z - z * y * x
     for p in (probe, x**2 * y, (x + z) ** 3):
         if p.degree() <= 3:
-            assert full.contains(p) == capped.contains(p)
+            v = poly_to_vector(p, free)
+            assert full.contains(v) == capped.contains(v)
+    # the capped engine records the full engine's syzygies up to the cap
+    assert capped.syzygies == [s for s in full.syzygies if s.degree() <= 4]
 
 
 def test_unit_ideal_and_empty():
@@ -274,8 +279,9 @@ def test_engine_matches_reference_on_conftest_ideals(field, homogeneous):
         ref = _assert_engine_matches_reference(
             ideal.free, _generator_vectors(ideal), rng)
         # the presentation keeps the same results, exponents shared
-        assert ideal.gb_lifts == ref.reduced_lifts
+        assert ideal._engine.reduced_lifts == ref.reduced_lifts
         assert ideal.gb == [b.coordinate(0) for b in ref.reduced]
+        assert ideal.leading_exponents() == [g.leading_monomial() for g in ideal.gb]
         trimmed = (minimal_generators(ref.syzygies) if ideal.homogeneous
                    else ref.syzygies)
         assert ideal.syzygies == trimmed
@@ -292,4 +298,4 @@ def test_engine_matches_reference_on_hunt_candidates(shape_args, field):
     ref = _assert_engine_matches_reference(
         candidate.free, _generator_vectors(candidate), rng_for(12))
     assert candidate.syzygies == minimal_generators(ref.syzygies)
-    assert candidate.gb_lifts == ref.reduced_lifts
+    assert candidate._engine.reduced_lifts == ref.reduced_lifts

@@ -14,7 +14,6 @@ from hilbcert.homology import (
     hom_nonneg_filtration,
     hom_space,
     image_matrix,
-    second_syzygy_engine,
     t2_space,
 )
 from hilbcert.linalg import rank
@@ -145,26 +144,24 @@ def test_ext1_complete_intersection():
 def test_t2_vanishes_for_complete_intersection():
     ideal = _ideal(("x^2", "y^3"), field=F101)
     q = ArtinianQuotient(ideal)
-    t2 = t2_space(ideal, q)
+    t2 = t2_space(ideal, ext1_space(ideal, q))
     assert t2.dims == {}
 
 
 def test_t2_within_ext1_degreewise():
     for seed in range(4):
         ideal = random_zero_dim_ideal(rng_for(700 + seed), homogeneous=True)
-        q = ArtinianQuotient(ideal)
-        engine = second_syzygy_engine(ideal, q)
-        ext1 = ext1_space(ideal, q, syz_engine=engine)
-        t2 = t2_space(ideal, q, ext1=ext1, syz_engine=engine)
+        ext1 = ext1_space(ideal, ArtinianQuotient(ideal))
+        t2 = t2_space(ideal, ext1)
         for d, v in t2.dims.items():
             assert 0 <= v <= ext1.dims.get(d, 0)
 
 
 def test_t2_requires_homogeneous():
     ideal = _ideal(("x^2 - y", "y^2"))
-    q = ArtinianQuotient(ideal)
+    ext1 = ext1_space(ideal, ArtinianQuotient(ideal))
     with pytest.raises(ValueError):
-        t2_space(ideal, q)
+        t2_space(ideal, ext1)
 
 
 def test_hom_respects_scalar_change_of_generators():
@@ -187,8 +184,7 @@ def test_ext1_and_t2_match_greedy_rank_loop(field):
         ideal = random_zero_dim_ideal(rng_for(7000 + seed), field=field,
                                       homogeneous=seed % 2 == 0)
         q = ArtinianQuotient(ideal)
-        engine = second_syzygy_engine(ideal, q)
-        ext1 = ext1_space(ideal, q, syz_engine=engine)
+        ext1 = ext1_space(ideal, q)
         expected = loop_reference.ext1_representatives(ext1)
         assert [(d, id(h)) for d, h in ext1.representatives] == [
             (d, id(h)) for d, h in expected
@@ -196,8 +192,8 @@ def test_ext1_and_t2_match_greedy_rank_loop(field):
         if not ideal.homogeneous:
             ungraded += 1
             continue
-        t2 = t2_space(ideal, q, ext1=ext1, syz_engine=engine)
-        assert t2.dims == loop_reference.t2_dims(ideal, q, ext1, engine)
+        t2 = t2_space(ideal, ext1)
+        assert t2.dims == loop_reference.t2_dims(ideal, q, ext1, ext1.rel_engine)
     assert ungraded >= 2
 
 
