@@ -17,7 +17,7 @@ import hashlib
 import time
 from math import comb
 
-from .artinian import ArtinianQuotient, series_string
+from .artinian import ArtinianQuotient
 from .fields import field_name
 from .groebner import IdealPresentation
 from .homology import (
@@ -243,15 +243,16 @@ def elementary_certificate(ideal: IdealPresentation) -> Certificate:
                         tnt.result == "true"))
     dimension = None
     if tnt.result == "true" and ideal.homogeneous:
-        ext1 = ext1_space(ideal, quotient)
+        # the verdict reads degrees >= 0 only, and Ext^1 is computed there
+        ext1 = ext1_space(ideal, quotient, floor=0)
         payload = {
-            "ext1_series": ext1.series(),
+            "ext1_nonneg_series": ext1.series(),
             "dim_ext1_nonneg": ext1.dim_nonneg(),
         }
         vanishes = ext1.dim_nonneg() == 0
         if not vanishes:
             t2 = t2_space(ideal, ext1)
-            payload["t2_series"] = t2.series()
+            payload["t2_nonneg_series"] = t2.series()
             payload["dim_t2_nonneg"] = t2.dim_nonneg()
             vanishes = t2.dim_nonneg() == 0
         checks.append(Check("obstruction-vanishing", payload, vanishes))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .artinian import ArtinianQuotient, series_string
+from .artinian import ArtinianQuotient
 from .certify import (
     dimension_formulas,
     elementary_certificate,

@@ -11,6 +11,7 @@ generators all stay in the working basis and no S-pair is skipped.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 
 from .modules import FreeModule, ModuleVector
 from .rings import GradedRing, Polynomial, div_exps, lcm_exps, mul_exps
@@ -49,24 +50,31 @@ def minimal_generators(vectors):
     multiples, so each degree needs one sparse echelon form of those
     multiples and no Groebner basis; by graded Nakayama the kept vectors
     generate the input's module minimally."""
+    decorated = []  # (degree, vector), each degree found in one pass
+    for v in vectors:
+        if not v:
+            continue
+        td = v.module.term_degree
+        degrees = {td(i, e) for i, e in v.terms}
+        if len(degrees) != 1:
+            raise ValueError("minimal generators need homogeneous vectors")
+        decorated.append((degrees.pop(), v))
+    decorated.sort(key=itemgetter(0))
     kept = []
     current = None
-    for v in sorted((v for v in vectors if v), key=lambda v: v.degree()):
-        if not v.is_homogeneous():
-            raise ValueError("minimal generators need homogeneous vectors")
+    for d, v in decorated:
         ring = v.module.ring
-        d = v.degree()
         if d != current:
             current, echelon, ids = d, {}, {}  # ids number the terms seen
-            for k in kept:
-                for m in ring.monomials_of_degree(d - k.degree()):
+            for kd, k in kept:
+                for m in ring.monomials_of_degree(d - kd):
                     row = {ids.setdefault((c, mul_exps(e, m)), len(ids)): x
                            for (c, e), x in k.terms.items()}
                     _echelon_insert(echelon, row, ring.field)
         row = {ids.setdefault(t, len(ids)): x for t, x in v.terms.items()}
         if _echelon_insert(echelon, row, ring.field):
-            kept.append(v)
-    return kept
+            kept.append((d, v))
+    return [v for _, v in kept]
 
 
 def _heap_key(module, comp, exps):

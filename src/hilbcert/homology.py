@@ -127,9 +127,12 @@ def evaluate(action, images, target: FiniteModule):
     return mat_mul(stacked, blocks, f)
 
 
-def hom_space(pres: Presentation, target: FiniteModule) -> HomSpace:
+def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
     """Basis of Hom over the ring, graded when the data is homogeneous: one
-    kernel per hom degree, where ungraded data has the single degree None."""
+    kernel per hom degree, where ungraded data has the single degree None.
+
+    `floor` is the lowest hom degree to compute; by default every degree a
+    nonzero hom can have."""
     f = target.ring.field
     zero = f.zero
     r = pres.rank
@@ -138,9 +141,12 @@ def hom_space(pres: Presentation, target: FiniteModule) -> HomSpace:
     rel = [(s.degree() if pres.homogeneous else None,
             actions(s.coordinates(), target)) for s in pres.relations]
     if not pres.homogeneous:
+        if floor is not None:
+            raise ValueError("a degree floor needs graded data")
         degrees = [None]
     elif tdegs and r:
-        degrees = range(min(tdegs) - max(pres.gen_degrees),
+        lowest = min(tdegs) - max(pres.gen_degrees)
+        degrees = range(lowest if floor is None else max(floor, lowest),
                         max(tdegs) - min(pres.gen_degrees) + 1)
     else:
         degrees = []
@@ -260,14 +266,17 @@ def _by_degree(pairs):
 
 class Ext1Space:
     """Ext^1(M, N) presented as Hom(first syzygies, N) modulo restrictions
-    of Hom(free cover, N).  `rel_engine` is the Groebner data of the
-    relations it was built from; `t2_space` reuses it."""
+    of Hom(free cover, N), in the hom degrees from `floor` up (None for
+    ungraded data, which has no window).  `rel_engine` is the Groebner data
+    of the relations it was built from; `t2_space` reuses it."""
 
-    def __init__(self, syz_hom: HomSpace, image_rows, graded, rel_engine):
+    def __init__(self, syz_hom: HomSpace, image_rows, graded, rel_engine,
+                 floor=None):
         self.syz_hom = syz_hom
         self.image_rows = image_rows  # flattened, with degrees when graded
         self.graded = graded
         self.rel_engine = rel_engine
+        self.floor = floor
         self._compute()
 
     def _compute(self):
@@ -297,53 +306,76 @@ class Ext1Space:
         return series_string(self.dims)
 
 
+def relation_window(relation_vectors, target: FiniteModule, homogeneous,
+                    floor=None):
+    """(floor, cap, kept) for homs of degree >= floor out of the relation
+    module into a finite graded target.
+
+    A hom of degree d sends a relation of degree e into the target's degree
+    e + d, which is zero above the top degree `top`.  So from `floor` up only
+    the relations of degree <= cap = top - floor can have nonzero images, and
+    a relation among relations of degree <= cap involves only those.  The
+    default floor is the lowest degree a nonzero hom can have, which keeps
+    every relation.  Ungraded data, or an empty target or relation list, has
+    no window: (floor, None, all relations)."""
+    if not (homogeneous and relation_vectors and target.degrees):
+        return floor, None, relation_vectors
+    if floor is None:
+        floor = min(target.degrees) - max(s.degree() for s in relation_vectors)
+    cap = max(target.degrees) - floor
+    return floor, cap, [s for s in relation_vectors if s.degree() <= cap]
+
+
 def ext1_generic(ring, free_degrees, relation_vectors, target: FiniteModule,
-                 homogeneous, rel_engine=None):
+                 homogeneous, rel_engine=None, floor=None):
     """Ext^1 of the module presented by a free module with the given shifts
     modulo the given relation vectors: Hom(relations, target) modulo maps
-    that extend to the whole free module.
+    that extend to the whole free module, in hom degrees >= floor (by
+    default all of them).
 
-    `rel_engine` may pass in precomputed Groebner data for the relation
-    module (it carries the relations-among-relations); otherwise it is
-    computed here with a degree cap that keeps every constraint able to
-    touch the finite target.
+    `rel_engine` may pass in precomputed Groebner data for the relations
+    the window keeps (it carries the relations-among-relations); otherwise
+    it is computed here, capped at the window's top relation degree.
     """
+    floor, cap, kept = relation_window(relation_vectors, target, homogeneous,
+                                       floor)
     if rel_engine is None:
-        rel_engine = relation_syzygy_engine(
-            ring, free_degrees, relation_vectors, target, homogeneous
-        )
+        rel_engine = relation_syzygy_engine(ring, free_degrees, relation_vectors,
+                                            target, homogeneous, floor)
+    elif rel_engine.syzygy_module.rank != len(kept):
+        raise ValueError("relation engine built on other relations")
     rel_pres = Presentation(
         ring,
-        [s.degree() for s in relation_vectors],
+        [s.degree() for s in kept],
         rel_engine.syzygies,
         homogeneous=homogeneous,
     )
-    rel_hom = hom_space(rel_pres, target)
-    image_rows = _restriction_rows(free_degrees, relation_vectors, target, homogeneous)
+    rel_hom = hom_space(rel_pres, target, floor=floor)
+    image_rows = _restriction_rows(free_degrees, kept, target, homogeneous,
+                                   floor)
     return Ext1Space(rel_hom, image_rows, graded=homogeneous,
-                     rel_engine=rel_engine)
+                     rel_engine=rel_engine, floor=floor)
 
 
-def relation_syzygy_engine(ring, free_degrees, relation_vectors, target, homogeneous):
-    cap = None
-    if homogeneous and relation_vectors and target.degrees:
-        # constraints of higher degree than this land in zero components of
-        # the target for every possible hom degree
-        spread = max(target.degrees) - min(target.degrees)
-        cap = spread + max(s.degree() for s in relation_vectors)
-    free = FreeModule(ring, free_degrees)
-    return ModuleGroebner(free, relation_vectors, max_degree=cap)
+def relation_syzygy_engine(ring, free_degrees, relation_vectors, target,
+                           homogeneous, floor=None):
+    """Groebner data of the relations that homs of degree >= floor into the
+    target can see, with the relations among them up to the window's cap."""
+    _, cap, kept = relation_window(relation_vectors, target, homogeneous, floor)
+    return ModuleGroebner(FreeModule(ring, free_degrees), kept, max_degree=cap)
 
 
-def ext1_space(ideal: IdealPresentation, target: FiniteModule):
-    """Ext^1(I, target) for an ideal against its chosen generators."""
+def ext1_space(ideal: IdealPresentation, target: FiniteModule, floor=None):
+    """Ext^1(I, target) for an ideal against its chosen generators, in hom
+    degrees >= floor (by default all of them)."""
     return ext1_generic(ideal.ring, ideal.gen_degrees, ideal.syzygies, target,
-                        ideal.homogeneous)
+                        ideal.homogeneous, floor=floor)
 
 
-def _restriction_rows(free_degrees, relation_vectors, target, graded):
+def _restriction_rows(free_degrees, relation_vectors, target, graded,
+                      floor=None):
     """Flattened images in Hom(relations, target) of a basis of maps defined
-    on the whole free module."""
+    on the whole free module, in hom degrees >= floor when graded."""
     f = target.ring.field
     dimn = target.dim
     r = len(free_degrees)
@@ -354,6 +386,9 @@ def _restriction_rows(free_degrees, relation_vectors, target, graded):
     zero_block = [f.zero] * dimn
     for j, gdeg in enumerate(free_degrees):
         for b in range(dimn):
+            d = target.degrees[b] - gdeg if graded else None
+            if floor is not None and d < floor:
+                continue
             flat = []
             for entry in mats:
                 m = entry.get(j)
@@ -361,7 +396,6 @@ def _restriction_rows(free_degrees, relation_vectors, target, graded):
                     flat.extend(zero_block)
                 else:
                     flat.extend(m[t][b] for t in range(dimn))
-            d = target.degrees[b] - gdeg if graded else None
             rows.append((d, flat))
     return rows
 

@@ -152,6 +152,10 @@ class IdealFile:
         self.ring = ring
         self.generators = list(generators)
 
+    @property
+    def gens(self):
+        return self.generators
+
     def to_text(self) -> str:
         lines = [
             f"field: {field_name(self.ring.field)}",

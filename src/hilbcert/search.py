@@ -141,11 +141,13 @@ def _screen_one(shape, seed):
         cert = elementary_certificate(ideal)
     except (ValueError, ArithmeticError) as exc:
         return {"seed": seed, "error": str(exc)}
+    # the ring and generators, not the presentation: a hit file needs no
+    # more, and an outcome kept for later then holds a few KB, not ~50
     return {
         "seed": seed,
         "verdict": cert.verdict,
         "fingerprint": candidate_fingerprint(cert),
-        "ideal": ideal,
+        "ideal": IdealFile(ideal.ring, ideal.gens),
         "certificate": cert,
     }
 
@@ -198,10 +200,9 @@ def persist_hits(hits_by_fp, out_dir):
             continue
         name = f"hit-{len(index):04d}-seed{o['seed']}.txt"
         path = os.path.join(out_dir, name)
-        ideal = o["ideal"]
         report = o["certificate"].as_dict()
         with open(path, "w") as fh:
-            fh.write(IdealFile(ideal.ring, ideal.gens).to_text())
+            fh.write(o["ideal"].to_text())
             # commented out, so that a hit file is itself an ideal file
             fh.write("\n# certificate\n")
             for line in json.dumps(report, sort_keys=True, indent=1,

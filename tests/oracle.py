@@ -1,5 +1,5 @@
-"""Brute-force reference computations for graded Hom spaces and minimal
-syzygy degrees.
+"""Brute-force reference computations for graded Hom and Ext^1 spaces and
+minimal syzygy degrees.
 
 Everything here works degree by degree with plain linear algebra on monomial
 coordinates: the degree-e piece of a homogeneous ideal is spanned by the
@@ -12,7 +12,7 @@ are an independent check on the main library.
 
 from __future__ import annotations
 
-from hilbcert.linalg import coordinates_in_rows, independent_modulo, nullspace, rref
+from hilbcert.linalg import independent_modulo, rref
 
 
 def ideal_piece(ring, gens, e):
@@ -74,121 +74,201 @@ def socle_degree(ring, gens, limit=64):
     raise ValueError("quotient does not appear to be finite-dimensional")
 
 
-def hom_dim(ring, gens, d, socle=None):
-    """dim of the degree-d part of Hom_S(I, S/I) for a homogeneous ideal I."""
+def syzygy_kernel(ring, gens, d):
+    """Basis of K_d = ker(F_d -> S_d), F the free module with one generator
+    of degree deg g_j per generator g_j, on the monomial coordinates of F_d:
+    labels (j, m) with deg m = d - deg g_j.  Returns (basis, labels, free
+    columns)."""
+    f = ring.field
+    mons = ring.monomials_of_degree(d)
+    index = {m: j for j, m in enumerate(mons)}
+    cols = []  # one per label
+    labels = []
+    for j, g in enumerate(gens):
+        if g.degree() > d:
+            continue
+        for m in ring.monomials_of_degree(d - g.degree()):
+            col = [f.zero] * len(mons)
+            for ge, cc in g.terms.items():
+                key = tuple(a + b for a, b in zip(ge, m))
+                col[index[key]] = f.add(col[index[key]], cc)
+            cols.append(col)
+            labels.append((j, m))
+    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(mons))]
+    red, pivots = rref(matrix, len(cols), f)
+    # one kernel vector per free column: one there, zero at the other free
+    # columns, so a kernel element's coordinates are its free entries
+    pivot_set = set(pivots)
+    free = [c for c in range(len(cols)) if c not in pivot_set]
+    kern = []
+    for c in free:
+        vec = [f.zero] * len(cols)
+        vec[c] = f.one
+        for row, p in zip(red, pivots):
+            vec[p] = f.neg(row[c])
+        kern.append(vec)
+    return kern, labels, free
+
+
+class _Pieces:
+    """The degree pieces of I and of its syzygy module K, each computed
+    once."""
+
+    def __init__(self, ring, gens):
+        self.ring = ring
+        self.gens = gens
+        self._ideal = {}
+        self._syzygies = {}
+
+    def ideal(self, e):
+        """`ideal_piece` of I_e."""
+        if e not in self._ideal:
+            self._ideal[e] = ideal_piece(self.ring, self.gens, e)
+        return self._ideal[e]
+
+    def ideal_source(self, e):
+        """I_e as a `_hom_dim` source: labels (0, m), m a monomial."""
+        mons, _, basis, pivots = self.ideal(e)
+        return [(0, m) for m in mons], basis, pivots
+
+    def syzygy_source(self, e):
+        """K_e as a `_hom_dim` source, its free columns as the pivots."""
+        if e not in self._syzygies:
+            kern, labels, free = syzygy_kernel(self.ring, self.gens, e)
+            self._syzygies[e] = (labels, kern, free)
+        return self._syzygies[e]
+
+
+def _hom_dim(pieces, source, e_min, d, socle):
+    """dim of the degree-d part of Hom_S(P, S/I), for a graded submodule P
+    of a free module with P_e = 0 below e_min.  `source(e)` gives P_e as
+    (labels, basis, pivots) over the labels (j, m) of the free module's
+    degree-e monomial coordinates: each basis vector is one at its own pivot
+    column and zero at the others.  A degree-d hom is a family of
+    linear maps P_e -> (S/I)_{e+d} commuting with every variable."""
+    ring = pieces.ring
     field = ring.field
+    zero = field.zero
+    e_max = socle - d
+    if e_max < e_min:
+        return 0
+    src = {e: source(e) for e in range(e_min, e_max + 2)}
+    # N_t for 0 <= t <= socle: rref data of I_t and the monomials of the
+    # non-pivot columns, a basis of N_t
+    quots = {}
+    for t in range(max(e_min + d, 0), socle + 1):
+        mons, index, basis, pivots = pieces.ideal(t)
+        pivot_set = set(pivots)
+        quots[t] = (index, basis, pivots,
+                    [m for j, m in enumerate(mons) if j not in pivot_set])
+
+    def n_dim(t):
+        return len(quots[t][3]) if t in quots else 0
+
+    # unknowns: for each e, the matrix of P_e -> N_{e+d}, entry (b, c) at
+    # offsets[e] + b * n_dim(e + d) + c
+    offsets = {}
+    total = 0
+    for e in range(e_min, e_max + 1):
+        offsets[e] = total
+        total += len(src[e][1]) * n_dim(e + d)
+    if total == 0:
+        return 0
+    constraints = []
+    for e in range(e_min, e_max):
+        labels, basis, _ = src[e]
+        next_labels, _, next_pivots = src[e + 1]
+        next_index = {lab: k for k, lab in enumerate(next_labels)}
+        width_next = n_dim(e + 1 + d)
+        if not width_next:
+            continue  # the constraint lands in the zero space
+        t_index, t_basis, t_pivots, _ = quots[e + 1 + d]
+        here = quots[e + d][3] if e + d in quots else []
+        for b, brow in enumerate(basis):
+            for i in range(ring.n):
+                # x_i * (basis vector b of P_e) in P_{e+1}: its coordinates
+                # on the basis are its entries at the pivot columns
+                shifted = [zero] * len(next_labels)
+                for (j, m), c in zip(labels, brow):
+                    if c != zero:
+                        k = next_index[(j, m[:i] + (m[i] + 1,) + m[i + 1:])]
+                        shifted[k] = field.add(shifted[k], c)
+                coords = [shifted[p] for p in next_pivots]
+                # one sparse row (unknown -> coefficient) per basis
+                # monomial r of N_{e+1+d}: phi(x_i b)_r - (x_i phi(b))_r = 0
+                rows = [{} for _ in range(width_next)]
+                for b2, c2 in enumerate(coords):
+                    if c2 != zero:
+                        for r in range(width_next):
+                            rows[r][offsets[e + 1] + b2 * width_next + r] = c2
+                for c, m in enumerate(here):
+                    vec = [zero] * len(t_index)
+                    vec[t_index[m[:i] + (m[i] + 1,) + m[i + 1:]]] = field.one
+                    u = offsets[e] + b * len(here) + c
+                    for r, x in enumerate(project(vec, t_basis, t_pivots, field)):
+                        if x != zero:
+                            rows[r][u] = field.sub(rows[r].get(u, zero), x)
+                constraints.extend(rows)
+    return total - sparse_rank(constraints, field)
+
+
+def sparse_rank(rows, field):
+    """Rank of sparse rows (column -> coefficient dicts) by Gaussian
+    elimination that keeps each pivot row under its largest column."""
+    zero = field.zero
+    pivots = {}
+    for row in rows:
+        row = {u: x for u, x in row.items() if x != zero}
+        while row:
+            col = max(row)
+            known = pivots.get(col)
+            if known is None:
+                inv = field.inv(row[col])
+                pivots[col] = {u: field.mul(inv, x) for u, x in row.items()}
+                break
+            c = row[col]
+            for u, x in known.items():
+                val = field.sub(row.get(u, zero), field.mul(c, x))
+                if val == zero:
+                    row.pop(u, None)
+                else:
+                    row[u] = val
+    return len(pivots)
+
+
+def hom_dim(ring, gens, d, socle=None, pieces=None):
+    """dim of the degree-d part of Hom_S(I, S/I) for a homogeneous ideal I."""
     if socle is None:
         socle = socle_degree(ring, gens)
     gen_degs = [g.degree() for g in gens if not g.is_zero()]
     if not gen_degs:
         return 0
-    e_min = min(gen_degs)
-    e_max = socle - d
-    if e_max < e_min:
-        return 0
-    pieces = {}
-    for e in range(e_min, e_max + 2):
-        pieces[e] = ideal_piece(ring, gens, e)
-    quots = {}
-    for e in range(e_min, e_max + 2):
-        t = e + d
-        if 0 <= t <= socle:
-            quots[t] = ideal_piece(ring, gens, t)
-    # unknowns: for each e, a matrix I_e -> N_{e+d}
-    offsets = {}
-    total = 0
-    for e in range(e_min, e_max + 1):
-        src = len(pieces[e][2])
-        t = e + d
-        tgt_mons, _, tgt_basis, tgt_pivots = quots.get(t, (None, None, None, None)) if t in quots else (None, None, None, None)
-        tgt = (len(tgt_mons) - len(tgt_basis)) if t in quots else 0
-        offsets[e] = (total, src, tgt)
-        total += src * tgt
-    if total == 0:
-        return 0
-
-    def unknown(e, b, t):
-        off, src, tgt = offsets[e]
-        return off + b * tgt + t
-
-    constraints = []
-    zero, one = field.zero, field.one
-    for e in range(e_min, e_max + 1):
-        off, src, tgt = offsets[e]
-        if src == 0:
-            continue
-        mons, index, basis, pivots = pieces[e]
-        t_here = e + d
-        t_next = e + 1 + d
-        next_mons, next_index, next_basis, next_pivots = pieces[e + 1]
-        # quotient data in target degrees
-        if t_next in quots:
-            q_mons, q_index, q_basis, q_pivots = quots[t_next]
-            q_nonpivot = [j for j in range(len(q_mons)) if j not in set(q_pivots)]
-        else:
-            q_nonpivot = []
-        if not q_nonpivot:
-            continue  # constraint lands in the zero space
-        # non-pivot monomials of N_{e+d} (columns of the unknown matrices)
-        if t_here in quots:
-            h_mons, h_index, h_basis, h_pivots = quots[t_here]
-            h_nonpivot = [j for j in range(len(h_mons)) if j not in set(h_pivots)]
-        else:
-            h_nonpivot = []
-        for b, brow in enumerate(basis):
-            for i in range(ring.n):
-                # x_i * (basis vector b of I_e) as a vector in S_{e+1}
-                shifted = [zero] * len(next_mons)
-                for j, c in enumerate(brow):
-                    if c != zero:
-                        m = mons[j]
-                        prod = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                        k = next_index[prod]
-                        shifted[k] = field.add(shifted[k], c)
-                coords = coordinates_in_rows(next_basis, len(next_mons), shifted, field)
-                assert coords is not None, "x_i * I_e not inside I_{e+1}"
-                # one constraint row per non-pivot monomial of N_{e+1+d}
-                rows = [
-                    dict() for _ in q_nonpivot
-                ]
-                # phi(x_i b) term: sum over basis vectors of I_{e+1}
-                onp, snp, tnp = offsets[e + 1]
-                if tnp:
-                    for b2, c2 in enumerate(coords):
-                        if c2 == zero:
-                            continue
-                        for tcol in range(tnp):
-                            u = unknown(e + 1, b2, tcol)
-                            for r in range(len(q_nonpivot)):
-                                if r == tcol:
-                                    rows[r][u] = field.add(rows[r].get(u, zero), c2)
-                # minus x_i * phi(b): phi(b) = sum over h_nonpivot columns
-                for tcol, hj in enumerate(h_nonpivot):
-                    m = h_mons[hj]
-                    prod = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    # image monomial in S_{e+1+d}, projected to N_{e+1+d}
-                    vec = [zero] * len(q_mons)
-                    vec[q_index[prod]] = one
-                    pr = project(vec, q_basis, q_pivots, field)
-                    u = unknown(e, b, tcol)
-                    for r, c2 in enumerate(pr):
-                        if c2 != zero:
-                            rows[r][u] = field.sub(rows[r].get(u, zero), c2)
-                for r in rows:
-                    if r:
-                        constraints.append(r)
-    dense = []
-    for r in constraints:
-        row = [zero] * total
-        for u, c in r.items():
-            row[u] = c
-        dense.append(row)
-    return total - len(rref(dense, total, field)[0])
+    pieces = pieces or _Pieces(ring, gens)
+    return _hom_dim(pieces, pieces.ideal_source, min(gen_degs), d, socle)
 
 
 def hom_dims(ring, gens, dmin, dmax):
     socle = socle_degree(ring, gens)
-    return {d: hom_dim(ring, gens, d, socle=socle) for d in range(dmin, dmax + 1)}
+    pieces = _Pieces(ring, gens)
+    return {d: hom_dim(ring, gens, d, socle=socle, pieces=pieces)
+            for d in range(dmin, dmax + 1)}
+
+
+def ext1_dims(ring, gens, dmin, dmax):
+    """dim Ext^1_S(I, S/I)_d for dmin <= d <= dmax, from the exact sequence
+    0 -> Hom(I, N) -> Hom(F, N) -> Hom(K, N) -> Ext^1(I, N) -> 0 of
+    0 -> K -> F -> I -> 0, F the free module on the generators and N = S/I:
+    dim Ext^1_d = dim Hom(K, N)_d - dim Hom(F, N)_d + dim Hom(I, N)_d."""
+    socle = socle_degree(ring, gens)
+    n_dims = quotient_dims(ring, gens, socle)
+    degs = [g.degree() for g in gens]
+    pieces = _Pieces(ring, gens)
+    out = {}
+    for d in range(dmin, dmax + 1):
+        hom_f = sum(n_dims[a + d] for a in degs if 0 <= a + d <= socle)
+        out[d] = (_hom_dim(pieces, pieces.syzygy_source, min(degs), d, socle)
+                  - hom_f + hom_dim(ring, gens, d, socle=socle, pieces=pieces))
+    return out
 
 
 def minimal_syzygy_degrees(ring, gens, up_to):
@@ -198,29 +278,10 @@ def minimal_syzygy_degrees(ring, gens, up_to):
     of lower-degree kernels)."""
     f = ring.field
     gd = [g.degree() for g in gens]
-
-    def kernel_basis(d):
-        mons = ring.monomials_of_degree(d)
-        index = {m: j for j, m in enumerate(mons)}
-        cols = []  # one per (generator j, monomial of degree d - deg g_j)
-        labels = []
-        for j, g in enumerate(gens):
-            if gd[j] > d:
-                continue
-            for m in ring.monomials_of_degree(d - gd[j]):
-                col = [f.zero] * len(mons)
-                for ge, cc in g.terms.items():
-                    key = tuple(a + b for a, b in zip(ge, m))
-                    col[index[key]] = f.add(col[index[key]], cc)
-                cols.append(col)
-                labels.append((j, m))
-        matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(mons))]
-        return nullspace(matrix, len(cols), f), labels
-
     out = {}
     prev = None
     for d in range(min(gd), up_to + 1):
-        kern, labels = kernel_basis(d)
+        kern, labels, _ = syzygy_kernel(ring, gens, d)
         shifted = []
         if prev is not None:
             pk, pl = prev

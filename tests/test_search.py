@@ -98,9 +98,10 @@ def test_screen_deterministic():
 
 
 def test_hunt_outcome_stays_lean(monkeypatch):
-    """Memory one captured screening outcome (presentation plus
-    certificate) keeps alive.  A benchmark that holds every outcome of a
-    run until after the timed region pays this once per candidate."""
+    """Memory one captured screening outcome (ring, generators and
+    certificate, not the presentation) keeps alive.  A benchmark that holds
+    every outcome of a run until after the timed region pays this once per
+    candidate."""
     captured = []
     screen_one = search._screen_one
 
@@ -123,4 +124,4 @@ def test_hunt_outcome_stays_lean(monkeypatch):
         retained = (held - tracemalloc.get_traced_memory()[0]) / count
     finally:
         tracemalloc.stop()
-    assert retained < 90 * 1024
+    assert retained < 16 * 1024
