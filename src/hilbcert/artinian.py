@@ -102,7 +102,7 @@ class FiniteModule:
                 mr = m[r]
                 orow = out[r]
                 for j in range(self.dim):
-                    if mr[j] != zero:
+                    if mr[j]:
                         orow[j] = f.add(orow[j], f.mul(c, mr[j]))
         return out
 

@@ -20,7 +20,7 @@ from .certify import (
 from .fields import GF, QQ
 from .groebner import IdealPresentation
 from .homology import Presentation, ext1_space, hom_space
-from .linalg import rank
+from .linalg import det, rank
 from .parsing import IdealFile
 from .rings import GradedRing
 
@@ -218,29 +218,6 @@ def _reparse(gens, ring):
     return [parse_polynomial(str(g), ring) for g in gens]
 
 
-def _det(matrix, field):
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    det = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != field.zero), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = field.neg(det)
-        det = field.mul(det, rows[c][c])
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != field.zero:
-                factor = field.mul(rows[i][c], inv)
-                rows[i] = [
-                    field.sub(a, field.mul(factor, b))
-                    for a, b in zip(rows[i], rows[c])
-                ]
-    return det
-
-
 def verify(spec: GallerySpec) -> dict:
     """Recompute every expected invariant; returns per-item results."""
     ideal = spec.ideal
@@ -296,7 +273,7 @@ def verify(spec: GallerySpec) -> dict:
         record("tnt_standard_grading", expected["tnt_standard_grading"], result)
     if "matrix_det" in expected:
         record("matrix_det", expected["matrix_det"],
-               _det(spec.companion["matrix"], ideal.ring.field))
+               det(spec.companion["matrix"], ideal.ring.field))
     if {"verdict", "dimension"} & set(expected):
         cert = elementary_certificate(ideal)
         if "verdict" in expected:

@@ -77,10 +77,10 @@ def minimal_generators(vectors):
     return [v for _, v in kept]
 
 
-def _heap_key(module, comp, exps):
-    """Negated module order key: popping the min of these from a heap yields
-    terms in decreasing module order."""
-    rd = module.ring.degree(exps)
+def _heap_key(module, comp, exps, rd):
+    """Negated module order key of a term whose monomial has degree rd:
+    popping the min of these from a heap yields terms in decreasing module
+    order."""
     return (-(rd + module.shifts[comp]), -rd, tuple(reversed(exps)), comp)
 
 
@@ -102,10 +102,11 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
     work = dict(v.terms)
     # lazy max-heap: every reduction step only introduces terms strictly
     # below the one being cancelled, so stale entries can be skipped
-    heap = [(_heap_key(module, c, e), (c, e)) for (c, e) in work]
+    degree, order_key = ring.degree, ring.order_key
+    heap = [(_heap_key(module, c, e, degree(e)), (c, e)) for (c, e) in work]
     heapq.heapify(heap)
     while heap:
-        _, t = heapq.heappop(heap)
+        key, t = heapq.heappop(heap)
         coeff = work.get(t)
         if coeff is None:
             continue
@@ -134,7 +135,11 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
                 val = f.neg(delta)
                 if val != zero:
                     work[nt] = val
-                    heapq.heappush(heap, (_heap_key(module, bc, nt[1]), nt))
+                    # deg(be * q) = deg(be) + deg(t) - deg(lead), where
+                    # deg(t) = -key[1]; a basis term's order key, cached
+                    # when its leading term was found, starts with its degree
+                    rd = order_key(be)[0] - key[1] - order_key(leads[k][1])[0]
+                    heapq.heappush(heap, (_heap_key(module, bc, nt[1], rd), nt))
             else:
                 val = f.sub(cur, delta)
                 if val == zero:

@@ -168,7 +168,7 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
                 nz = False
                 for j, m in action:
                     for b, x in enumerate(m[t]):
-                        if x != zero:
+                        if x:
                             idx = slot_index.get((j, b))
                             if idx is not None:
                                 row[idx] = f.add(row[idx], x)

@@ -2,10 +2,14 @@
 
 Matrices are lists of rows; rows are lists of field elements.  All routines
 are exact.  GF(2) rows are packed into integers and eliminated with xor;
-other prime fields use inline modular arithmetic; QQ uses Fractions.
+other prime fields use inline modular arithmetic; QQ is eliminated over
+the integers and turned back into Fractions only on output.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def _rref_gf2(rows, ncols):
@@ -69,34 +73,53 @@ def _rref_gfp(rows, ncols, p):
     return m[:r], pivots
 
 
-def _rref_generic(rows, ncols, field):
-    zero, one = field.zero, field.one
-    m = [list(row) for row in rows]
+def _rref_qq(rows, ncols, zero):
+    """Gauss-Jordan over the integers.  Each row is scaled by the lcm of its
+    denominators and every row built is divided by its content, so that
+    entries stay small; `Fraction`s are built again only when each pivot
+    row is divided by its pivot, which gives the unique reduced form."""
+    m = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if not nonzero:
+            continue
+        den = lcm(*[x.denominator for _, x in nonzero])
+        ints = [0] * len(row)
+        for j, x in nonzero:
+            ints[j] = x.numerator * (den // x.denominator)
+        g = gcd(*ints)
+        m.append([x // g for x in ints] if g > 1 else ints)
     pivots = []
     r = 0
     nrows = len(m)
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
-            if m[i][c] != zero:
+            if m[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        if inv != one:
-            m[r] = [field.mul(inv, x) for x in m[r]]
         row_r = m[r]
+        a = row_r[c]
         for i in range(nrows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], row_r)]
+            b = m[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                fa, fb = a // g, b // g
+                new = [fa * x - fb * y for x, y in zip(m[i], row_r)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        a = row[c]
+        out.append([Fraction(x, a) if x else zero for x in row])
+    return out, pivots
 
 
 def rref(rows, ncols, field):
@@ -108,7 +131,7 @@ def rref(rows, ncols, field):
         return _rref_gf2(rows, ncols)
     if p:
         return _rref_gfp(rows, ncols, p)
-    return _rref_generic(rows, ncols, field)
+    return _rref_qq(rows, ncols, field.zero)
 
 
 def rank(rows, ncols, field) -> int:
@@ -182,7 +205,7 @@ def solve(rows, ncols, rhs, field):
 def coordinates_in_rows(basis_rows, ncols, vec, field):
     """Coefficients c with sum c_i * basis_i = vec, or None."""
     if not basis_rows:
-        return [] if all(x == field.zero for x in vec) else None
+        return None if any(vec) else []
     cols = [[basis_rows[i][j] for i in range(len(basis_rows))] for j in range(ncols)]
     return solve(cols, len(basis_rows), list(vec), field)
 
@@ -195,12 +218,11 @@ def left_nullspace(rows, ncols, field):
 
 
 def matvec(rows, vec, field):
-    zero = field.zero
     out = []
     for row in rows:
-        acc = zero
+        acc = field.zero
         for a, b in zip(row, vec):
-            if a != zero and b != zero:
+            if a and b:
                 acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return out
@@ -229,12 +251,36 @@ def mat_mul(a, b, field):
     for row in a:
         acc = [zero] * n
         for t, x in enumerate(row):
-            if x != zero:
+            if x:
                 bt = b[t]
                 for j in range(n):
-                    if bt[j] != zero:
+                    if bt[j]:
                         acc[j] = field.add(acc[j], field.mul(x, bt[j]))
         out.append(acc)
+    return out
+
+
+def det(matrix, field):
+    """Determinant of a square matrix, by elimination to triangular form."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    out = field.one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return field.zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = field.neg(out)
+        out = field.mul(out, rows[c][c])
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                factor = field.mul(rows[i][c], inv)
+                rows[i] = [
+                    field.sub(a, field.mul(factor, b))
+                    for a, b in zip(rows[i], rows[c])
+                ]
     return out
 
 

@@ -28,6 +28,9 @@
 - Post-composing homs with a matrix one hom and one generator image at a
   time.  `homology.post_composition`, one product per generator block, must
   agree with it.
+- Gauss-Jordan elimination over QQ in `Fraction` arithmetic (`rref_fraction`).
+  `linalg.rref`, which eliminates QQ rows over the integers, must return the
+  same rows and pivots.
 """
 
 import heapq
@@ -36,6 +39,36 @@ from hilbcert.groebner import ModuleGroebner, _heap_key
 from hilbcert.linalg import identity, matvec, nullspace, rank, row_space_basis
 from hilbcert.modules import ModuleVector
 from hilbcert.rings import Polynomial, div_exps, lcm_exps, mul_exps
+
+
+def rref_fraction(rows, ncols, field):
+    zero, one = field.zero, field.one
+    m = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    nrows = len(m)
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c] != zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        if inv != one:
+            m[r] = [field.mul(inv, x) for x in m[r]]
+        row_r = m[r]
+        for i in range(nrows):
+            if i != r and m[i][c] != zero:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
 
 
 def independent_greedy(base, candidates, ncols, field):
@@ -65,7 +98,7 @@ def normal_form_reference(v, basis):
     quotients = [ring.zero] * len(basis)
     remainder = {}
     work = dict(v.terms)
-    heap = [(_heap_key(module, c, e), (c, e)) for (c, e) in work]
+    heap = [(_heap_key(module, c, e, ring.degree(e)), (c, e)) for (c, e) in work]
     heapq.heapify(heap)
     while heap:
         _, t = heapq.heappop(heap)
@@ -96,7 +129,7 @@ def normal_form_reference(v, basis):
                 val = f.neg(delta)
                 if val != zero:
                     work[nt] = val
-                    heapq.heappush(heap, (_heap_key(module, bc, nt[1]), nt))
+                    heapq.heappush(heap, (_heap_key(module, bc, nt[1], ring.degree(nt[1])), nt))
             else:
                 val = f.sub(cur, delta)
                 if val == zero:

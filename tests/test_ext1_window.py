@@ -154,3 +154,30 @@ def test_certificate_computes_degrees_from_zero_only(e, monkeypatch):
     assert floors == [0]
     payload = cert.check("obstruction-vanishing").payload
     assert payload == {"ext1_nonneg_series": "0", "dim_ext1_nonneg": 0}
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_default_window_cap_keeps_every_relation(e, monkeypatch):
+    """At the default floor the cap is top - floor, which is the target's
+    degree spread plus the largest relation degree: every relation is kept,
+    and the full `Ext^1` caps its relation engine there."""
+    ideal, _ = build_R(e, field=GF(3))
+    q = ArtinianQuotient(ideal)
+    relations = list(ideal.syzygies)
+    largest = max(s.degree() for s in relations)
+    floor, cap, kept = homology.relation_window(relations, q, True)
+    assert floor == min(q.degrees) - largest
+    assert cap == q.socle_degree() - floor
+    assert cap == max(q.degrees) - min(q.degrees) + largest
+    assert kept == relations
+    assert any(s.degree() == largest for s in kept)
+    engines = []
+    engine_class = homology.ModuleGroebner
+
+    def engine(module, vectors, max_degree=None):
+        engines.append(max_degree)
+        return engine_class(module, vectors, max_degree=max_degree)
+
+    monkeypatch.setattr(homology, "ModuleGroebner", engine)
+    ext1_space(ideal, q)
+    assert engines == [cap]

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hilbcert import linalg
 from hilbcert.fields import GF, QQ, field_from_name, field_name
 from hilbcert.linalg import (
+    coordinates_in_rows,
+    det,
     identity,
     independent_modulo,
     left_nullspace,
@@ -18,7 +21,7 @@ from hilbcert.linalg import (
     solve,
 )
 
-from loop_reference import independent_greedy
+from loop_reference import independent_greedy, rref_fraction
 
 F7 = GF(7)
 F2 = GF(2)
@@ -144,3 +147,111 @@ def test_independent_modulo_matches_greedy_rank_loop(field):
     assert independent_modulo([], [[], []], 0, field) == []
     assert independent_modulo([], zero_rows + [one, one], 3, field) == [2]
     assert independent_modulo([one], [one] + zero_rows, 3, field) == []
+
+
+def _qq_entry(rng, kind):
+    if kind == "huge":
+        big = 10**30 + rng.randint(-50, 50)
+        return rng.choice([Fraction(rng.choice([-1, 1]) * big),
+                           Fraction(rng.randint(-9, 9), big),
+                           Fraction(big, rng.randint(1, 9) * 10**29 + 1)])
+    if kind == "mixed":
+        return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4, 6, 9, 35]))
+    return Fraction(rng.randint(-2, 2))
+
+
+def _qq_corpus(seed, count):
+    """(rows, ncols) over QQ: mixed denominators, huge entries, zero rows
+    and columns, repeated and combined rows; tall, wide and square."""
+    rng = random.Random(seed)
+    yield [], 0
+    yield [], 4
+    yield [[], []], 0
+    yield [[QQ.zero] * 3] * 2, 3
+    for _ in range(count):
+        nrows, ncols = rng.choice([(rng.randint(1, 9), rng.randint(1, 4)),
+                                   (rng.randint(1, 4), rng.randint(1, 9)),
+                                   (rng.randint(1, 6),) * 2])
+        kind = rng.choice(["small", "mixed", "huge"])
+        zero_cols = {j for j in range(ncols) if rng.random() < 0.2}
+        rows = []
+        for _ in range(nrows):
+            roll = rng.random()
+            if roll < 0.1:
+                rows.append([QQ.zero] * ncols)
+            elif roll < 0.35 and rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = _qq_entry(rng, kind)
+                rows.append([x + c * y for x, y in zip(a, b)])
+            else:
+                rows.append([QQ.zero if j in zero_cols else _qq_entry(rng, kind)
+                             for j in range(ncols)])
+        yield rows, ncols
+
+
+def _all_fractions(value):
+    if isinstance(value, list):
+        return all(_all_fractions(v) for v in value)
+    return value is None or isinstance(value, Fraction)
+
+
+def _qq_questions(rows, ncols, rng):
+    """Every linalg answer built on `rref`, on one matrix."""
+    x = [_qq_entry(rng, "mixed") for _ in range(ncols)]
+    consistent = matvec(rows, x, QQ)
+    arbitrary = [_qq_entry(rng, "mixed") for _ in rows]
+    cut = rng.randint(0, len(rows))
+    return {
+        "rref": rref(rows, ncols, QQ),
+        "rank": rank(rows, ncols, QQ),
+        "nullspace": nullspace(rows, ncols, QQ),
+        "left_nullspace": left_nullspace(rows, ncols, QQ),
+        "solve": [solve(rows, ncols, consistent, QQ),
+                  solve(rows, ncols, arbitrary, QQ)],
+        "independent_modulo": independent_modulo(rows[:cut], rows[cut:], ncols, QQ),
+        "coordinates": [coordinates_in_rows(rows, ncols, row, QQ) for row in rows]
+        + [coordinates_in_rows(rows, ncols, [_qq_entry(rng, "small")] * ncols, QQ)],
+    }
+
+
+def test_integer_kernel_matches_fraction_elimination(monkeypatch):
+    """The QQ kernel eliminates over the integers; every answer built on it
+    must equal the one from Gauss-Jordan in Fraction arithmetic, entry for
+    entry, with every entry a Fraction."""
+    for i, (rows, ncols) in enumerate(_qq_corpus(1968, 300)):
+        got = _qq_questions(rows, ncols, random.Random(i))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rref", rref_fraction)
+            want = _qq_questions(rows, ncols, random.Random(i))
+        assert got == want, (rows, ncols)
+        red, pivots = got["rref"]
+        for key in ("rref", "nullspace", "left_nullspace", "solve", "coordinates"):
+            value = got[key][0] if key == "rref" else got[key]
+            assert _all_fractions(value), (key, rows)
+        assert got["rank"] + len(got["nullspace"]) == ncols
+        assert all(row[c] == 1 for row, c in zip(red, pivots))
+
+
+def test_integer_kernel_keeps_huge_entries_exact():
+    big = 10**30
+    rows = [[Fraction(big + 1), Fraction(1, big), QQ.one],
+            [Fraction(2 * big + 2), Fraction(2, big), Fraction(3)],
+            [Fraction(1, 3), Fraction(-1, big - 7), QQ.zero]]
+    red, pivots = rref(rows, 3, QQ)
+    assert (red, pivots) == rref_fraction(rows, 3, QQ)
+    assert pivots == [0, 1, 2] and red == identity(3, QQ)
+    assert rank(rows[:2], 3, QQ) == 2
+    assert all(isinstance(x, Fraction) for row in red for x in row)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(101), QQ])
+def test_det_matches_rank_and_products(field):
+    rng = random.Random(56 + field.char)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        a = _random_stack(rng, field, n, n)
+        b = [[field.of(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        assert (det(a, field) == field.zero) == (rank(a, n, field) < n)
+        assert det(mat_mul(a, b, field), field) == field.mul(det(a, field), det(b, field))
+    assert det([], field) == field.one
+    assert det([[field.of(2), field.of(1)], [field.of(1), field.of(1)]], field) == field.one
