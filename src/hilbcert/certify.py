@@ -22,10 +22,9 @@ from .fields import field_name
 from .groebner import IdealPresentation
 from .homology import (
     Presentation,
-    actions,
     diagram_maps,
     evaluate,
-    ext1_space,
+    ext1_generic,
     hom_nonneg_filtration,
     hom_space,
     image_matrix,
@@ -143,15 +142,15 @@ class TNTData:
         self.ideal = ideal
         self.hom = hom
         quotient = hom.target
-        # the translation along x_i sends each generator to its partial
+        # the translation along x_i sends each generator to its partial; it
+        # must kill every relation the Hom was computed against
         deriv_rows = [
             [x for g in ideal.gens for x in quotient.poly_vector(g.partial(i))]
             for i in range(ring.n)
         ]
         translations = image_matrix(deriv_rows)
-        for s in ideal.syzygies:
-            values = evaluate(actions(s.coordinates(), quotient), translations,
-                              quotient)
+        for action in hom.actions:
+            values = evaluate(action, translations, quotient)
             if any(x != f.zero for row in values for x in row):
                 raise AssertionError("translation map violates a syzygy")
         total = self.hom.total_dim()
@@ -218,17 +217,24 @@ def _origin_checked(quotient: ArtinianQuotient) -> ArtinianQuotient:
     return quotient
 
 
+def tnt_data(ideal: IdealPresentation) -> TNTData:
+    """The tangent test on S/I, once the quotient is checked to be supported
+    at the origin; its `hom` is Hom(I, S/I) and `hom.target` is S/I."""
+    quotient = _origin_checked(ArtinianQuotient(ideal))
+    return TNTData(ideal, hom_space(Presentation.of_ideal(ideal), quotient))
+
+
 def tnt_check(ideal: IdealPresentation):
     """Trivial-negative-tangents decision: 'true', 'false', or
     'inconclusive', with the exact dimension payload."""
-    quotient = _origin_checked(ArtinianQuotient(ideal))
-    data = TNTData(ideal, hom_space(Presentation.of_ideal(ideal), quotient))
+    data = tnt_data(ideal)
     return data.result, data.payload()
 
 
 def elementary_certificate(ideal: IdealPresentation) -> Certificate:
     t0 = time.perf_counter()
-    quotient = _origin_checked(ArtinianQuotient(ideal))
+    tnt = tnt_data(ideal)
+    quotient = tnt.hom.target
     hf = quotient.hilbert_function()
     checks = [
         Check(
@@ -238,13 +244,12 @@ def elementary_certificate(ideal: IdealPresentation) -> Certificate:
         ),
         Check("origin-support", {}, True),
     ]
-    tnt = TNTData(ideal, hom_space(Presentation.of_ideal(ideal), quotient))
     checks.append(Check("trivial-negative-tangents", tnt.payload(),
                         tnt.result == "true"))
     dimension = None
     if tnt.result == "true" and ideal.homogeneous:
         # the verdict reads degrees >= 0 only, and Ext^1 is computed there
-        ext1 = ext1_space(ideal, quotient, floor=0)
+        ext1 = ext1_generic(tnt.hom, floor=0)
         payload = {
             "ext1_nonneg_series": ext1.series(),
             "dim_ext1_nonneg": ext1.dim_nonneg(),

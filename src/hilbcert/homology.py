@@ -63,13 +63,15 @@ class HomElement:
 
 
 class HomSpace:
-    """A basis of Hom(source, target), with degrees when graded."""
+    """A basis of Hom(source, target), with degrees when graded.  `actions`
+    holds each source relation's `actions` on the target: the kernel's map."""
 
-    def __init__(self, source: Presentation, target: FiniteModule, elements, graded):
+    def __init__(self, source: Presentation, target: FiniteModule, elements, actions):
         self.source = source
         self.target = target
         self.elements = elements
-        self.graded = graded
+        self.actions = actions
+        self.graded = source.homogeneous
 
     def dims(self) -> dict:
         if not self.graded:
@@ -138,8 +140,9 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
     r = pres.rank
     dimn = target.dim
     tdegs = target.degrees
-    rel = [(s.degree() if pres.homogeneous else None,
-            actions(s.coordinates(), target)) for s in pres.relations]
+    rel_actions = [actions(s.coordinates(), target) for s in pres.relations]
+    rel_degrees = [s.degree() if pres.homogeneous else None
+                   for s in pres.relations]
     if not pres.homogeneous:
         if floor is not None:
             raise ValueError("a degree floor needs graded data")
@@ -159,7 +162,7 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
             continue
         slot_index = {s: i for i, s in enumerate(slots)}
         rows = []
-        for delta, action in rel:
+        for delta, action in zip(rel_degrees, rel_actions):
             targets = range(dimn) if d is None else [
                 t for t in range(dimn) if tdegs[t] == d + delta
             ]
@@ -180,7 +183,7 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
             for i, (j, b) in enumerate(slots):
                 images[j][b] = vec[i]
             elements.append(HomElement(d, images))
-    return HomSpace(pres, target, elements, graded=pres.homogeneous)
+    return HomSpace(pres, target, elements, rel_actions)
 
 
 # -- nonnegative part for non-homogeneous ideals ---------------------------
@@ -264,35 +267,13 @@ def _by_degree(pairs):
     return out
 
 
-class Ext1Space:
-    """Ext^1(M, N) presented as Hom(first syzygies, N) modulo restrictions
-    of Hom(free cover, N), in the hom degrees from `floor` up (None for
-    ungraded data, which has no window).  `rel_engine` is the Groebner data
-    of the relations it was built from; `t2_space` reuses it."""
+class DegreeCounts:
+    """Dimensions of a space of Ext^1 classes per hom degree (the single
+    degree None for ungraded data)."""
 
-    def __init__(self, syz_hom: HomSpace, image_rows, graded, rel_engine,
-                 floor=None):
-        self.syz_hom = syz_hom
-        self.image_rows = image_rows  # flattened, with degrees when graded
+    def __init__(self, dims, graded):
+        self.dims = dims
         self.graded = graded
-        self.rel_engine = rel_engine
-        self.floor = floor
-        self._compute()
-
-    def _compute(self):
-        f = self.syz_hom.target.ring.field
-        self.width = len(self.syz_hom.source.gen_degrees) * self.syz_hom.target.dim
-        img_by_deg = _by_degree(self.image_rows)
-        # ungraded data has the single degree None
-        by_deg = _by_degree((h.degree, h) for h in self.syz_hom.elements)
-        self.dims = {}
-        self.representatives = []
-        for d, elems in sorted(by_deg.items()):
-            new = independent_modulo(img_by_deg.get(d, []),
-                                     [h.flatten() for h in elems], self.width, f)
-            if new:
-                self.dims[d] = len(new)
-                self.representatives.extend((d, elems[i]) for i in new)
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -306,10 +287,37 @@ class Ext1Space:
         return series_string(self.dims)
 
 
-def relation_window(relation_vectors, target: FiniteModule, homogeneous,
-                    floor=None):
+class Ext1Space(DegreeCounts):
+    """Ext^1(M, N) presented as Hom(first syzygies, N) modulo restrictions
+    of Hom(free cover, N), in the hom degrees from `floor` up (None for
+    ungraded data, which has no window).  `rel_engine` is the Groebner data
+    of the relations it was built from; `t2_space` reuses it."""
+
+    def __init__(self, syz_hom: HomSpace, image_rows, rel_engine, floor=None):
+        self.syz_hom = syz_hom
+        self.image_rows = image_rows  # flattened, with degrees when graded
+        self.rel_engine = rel_engine
+        self.floor = floor
+        f = syz_hom.target.ring.field
+        self.width = syz_hom.source.rank * syz_hom.target.dim
+        img_by_deg = _by_degree(image_rows)
+        # ungraded data has the single degree None
+        by_deg = _by_degree((h.degree, h) for h in syz_hom.elements)
+        dims = {}
+        self.representatives = []
+        for d, elems in sorted(by_deg.items()):
+            new = independent_modulo(img_by_deg.get(d, []),
+                                     [h.flatten() for h in elems], self.width, f)
+            if new:
+                dims[d] = len(new)
+                self.representatives.extend((d, elems[i]) for i in new)
+        super().__init__(dims, syz_hom.graded)
+
+
+def relation_window(pres: Presentation, target: FiniteModule, floor=None):
     """(floor, cap, kept) for homs of degree >= floor out of the relation
-    module into a finite graded target.
+    module of `pres` into a finite graded target; `kept` lists the indices
+    of the relations that matter.
 
     A hom of degree d sends a relation of degree e into the target's degree
     e + d, which is zero above the top degree `top`.  So from `floor` up only
@@ -317,76 +325,73 @@ def relation_window(relation_vectors, target: FiniteModule, homogeneous,
     a relation among relations of degree <= cap involves only those.  The
     default floor is the lowest degree a nonzero hom can have, which keeps
     every relation.  Ungraded data, or an empty target or relation list, has
-    no window: (floor, None, all relations)."""
-    if not (homogeneous and relation_vectors and target.degrees):
-        return floor, None, relation_vectors
+    no window: (floor, None, every index)."""
+    relations = pres.relations
+    if not (pres.homogeneous and relations and target.degrees):
+        return floor, None, list(range(len(relations)))
     if floor is None:
-        floor = min(target.degrees) - max(s.degree() for s in relation_vectors)
+        floor = min(target.degrees) - max(s.degree() for s in relations)
     cap = max(target.degrees) - floor
-    return floor, cap, [s for s in relation_vectors if s.degree() <= cap]
+    return floor, cap, [i for i, s in enumerate(relations) if s.degree() <= cap]
 
 
-def ext1_generic(ring, free_degrees, relation_vectors, target: FiniteModule,
-                 homogeneous, rel_engine=None, floor=None):
-    """Ext^1 of the module presented by a free module with the given shifts
-    modulo the given relation vectors: Hom(relations, target) modulo maps
-    that extend to the whole free module, in hom degrees >= floor (by
-    default all of them).
+def ext1_generic(hom: HomSpace, floor=None, rel_engine=None):
+    """Ext^1 of the module `hom.source` presents, against `hom.target`:
+    Hom(relations, target) modulo maps that extend to the whole free module,
+    in hom degrees >= floor (by default all of them).  The restrictions are
+    read off `hom.actions`.
 
     `rel_engine` may pass in precomputed Groebner data for the relations
     the window keeps (it carries the relations-among-relations); otherwise
     it is computed here, capped at the window's top relation degree.
     """
-    floor, cap, kept = relation_window(relation_vectors, target, homogeneous,
-                                       floor)
+    pres, target = hom.source, hom.target
+    floor, _, kept = relation_window(pres, target, floor)
     if rel_engine is None:
-        rel_engine = relation_syzygy_engine(ring, free_degrees, relation_vectors,
-                                            target, homogeneous, floor)
+        rel_engine = relation_syzygy_engine(pres, target, floor)
     elif rel_engine.syzygy_module.rank != len(kept):
         raise ValueError("relation engine built on other relations")
     rel_pres = Presentation(
-        ring,
-        [s.degree() for s in kept],
+        pres.ring,
+        [pres.relations[i].degree() for i in kept],
         rel_engine.syzygies,
-        homogeneous=homogeneous,
+        homogeneous=pres.homogeneous,
     )
     rel_hom = hom_space(rel_pres, target, floor=floor)
-    image_rows = _restriction_rows(free_degrees, kept, target, homogeneous,
-                                   floor)
-    return Ext1Space(rel_hom, image_rows, graded=homogeneous,
-                     rel_engine=rel_engine, floor=floor)
+    image_rows = _restriction_rows(pres, [hom.actions[i] for i in kept],
+                                   target, floor)
+    return Ext1Space(rel_hom, image_rows, rel_engine, floor)
 
 
-def relation_syzygy_engine(ring, free_degrees, relation_vectors, target,
-                           homogeneous, floor=None):
-    """Groebner data of the relations that homs of degree >= floor into the
-    target can see, with the relations among them up to the window's cap."""
-    _, cap, kept = relation_window(relation_vectors, target, homogeneous, floor)
-    return ModuleGroebner(FreeModule(ring, free_degrees), kept, max_degree=cap)
+def relation_syzygy_engine(pres: Presentation, target: FiniteModule,
+                           floor=None):
+    """Groebner data of the relations of `pres` that homs of degree >= floor
+    into the target see, with the relations among them up to the window's cap."""
+    _, cap, kept = relation_window(pres, target, floor)
+    return ModuleGroebner(FreeModule(pres.ring, pres.gen_degrees),
+                          [pres.relations[i] for i in kept], max_degree=cap)
 
 
 def ext1_space(ideal: IdealPresentation, target: FiniteModule, floor=None):
     """Ext^1(I, target) for an ideal against its chosen generators, in hom
     degrees >= floor (by default all of them)."""
-    return ext1_generic(ideal.ring, ideal.gen_degrees, ideal.syzygies, target,
-                        ideal.homogeneous, floor=floor)
+    return ext1_generic(hom_space(Presentation.of_ideal(ideal), target), floor)
 
 
-def _restriction_rows(free_degrees, relation_vectors, target, graded,
-                      floor=None):
+def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):
     """Flattened images in Hom(relations, target) of a basis of maps defined
-    on the whole free module, in hom degrees >= floor when graded."""
+    on the free module of `pres`, given the relations' `actions`, in hom
+    degrees >= floor when graded."""
     f = target.ring.field
     dimn = target.dim
-    r = len(free_degrees)
     # a map sending generator j to basis vector b evaluates on a relation s
     # as column b of the action matrix of the j-th coordinate of s
-    mats = [dict(actions(s.coordinates(), target)) for s in relation_vectors]
+    mats = [dict(action) for action in rel_actions]
     rows = []
     zero_block = [f.zero] * dimn
-    for j, gdeg in enumerate(free_degrees):
+    for j, gdeg in enumerate(pres.gen_degrees):
         for b in range(dimn):
-            d = target.degrees[b] - gdeg if graded else None
+            d = target.degrees[b] - gdeg if pres.homogeneous else None
             if floor is not None and d < floor:
                 continue
             flat = []
@@ -400,27 +405,10 @@ def _restriction_rows(free_degrees, relation_vectors, target, graded,
     return rows
 
 
-class T2Space:
-    """Classes in Ext^1(I, target) that kill the trivial syzygies; for the
-    quotient target this is the space of genuine obstructions."""
-
-    def __init__(self, dims, graded):
-        self.dims = dims
-        self.graded = graded
-
-    def total_dim(self):
-        return sum(self.dims.values())
-
-    def dim_nonneg(self):
-        return sum(v for d, v in self.dims.items() if d is not None and d >= 0)
-
-    def series(self):
-        return series_string(self.dims)
-
-
-def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> T2Space:
+def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> DegreeCounts:
     """The obstruction classes inside `ext1 = ext1_space(ideal, target)`,
-    against the same target and through the same second-syzygy engine."""
+    against the same target and through the same second-syzygy engine: the
+    classes that kill the trivial syzygies, for S/I the genuine obstructions."""
     if not ideal.homogeneous:
         raise ValueError("obstruction space computation requires homogeneous input")
     syz_engine = ext1.rel_engine
@@ -457,7 +445,7 @@ def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> T2Space:
                                      ext1.width, f))
         if dim:
             dims[d] = dim
-    return T2Space(dims, graded=True)
+    return DegreeCounts(dims, graded=True)
 
 
 # -- the comparison diagram for a pair of ideals ---------------------------
@@ -515,8 +503,7 @@ def _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, target):
     h_rn = hom_space(Presentation.of_ideal(R), target)
     h_mn = hom_space(Presentation.of_ideal(M), target)
     h_jn = hom_space(j_pres, target)
-    e_jn = ext1_generic(M.ring, j_pres.gen_degrees, j_pres.relations, target,
-                        True, rel_engine=j_engine)
+    e_jn = ext1_generic(h_jn, rel_engine=j_engine)
     width_m = len(M.gens) * target.dim
     # restriction: value of each Hom(I_R, N) basis element on the small
     # ideal's generators, via their lifts
@@ -533,10 +520,15 @@ def _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, target):
     # induced map Ext^1(J, N) -> Ext^1(I_R, N): a class is sent to zero
     # exactly when its flat representative lies in the span of the maps
     # extending to the free cover of I_R (same flat coordinates: the
-    # relations of J are indexed by the syzygies of the combined ideal)
-    img_by_deg = _by_degree(
-        _restriction_rows(combined.gen_degrees, combined.syzygies, target, True)
-    )
+    # relations of J are indexed by the syzygies of the combined ideal, and
+    # are their coordinates on the extras, so those actions are Hom(J, N)'s)
+    k = j_pres.rank
+    combined_actions = [
+        j_action + [(k + j, m) for j, m in actions(s.coordinates()[k:], target)]
+        for j_action, s in zip(h_jn.actions, combined.syzygies)
+    ]
+    img_by_deg = _by_degree(_restriction_rows(
+        Presentation.of_ideal(combined), combined_actions, target))
     width_s = len(combined.syzygies) * target.dim
     reps_by_deg = _by_degree((d, h.flatten()) for d, h in e_jn.representatives)
     induced_kernel = {}
@@ -598,8 +590,7 @@ def diagram_maps(M: IdealPresentation, R: IdealPresentation):
     # one engine for J's relations serves both rows: S/I_M spans the wider
     # degree range, and a relation above the cap for S/I_R maps into no
     # degree of S/I_R
-    j_engine = relation_syzygy_engine(ring, j_pres.gen_degrees,
-                                      j_pres.relations, q_m, True)
+    j_engine = relation_syzygy_engine(j_pres, q_m)
     big = _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, q_r)
     small = _connecting_target(M, R, m_lifts, combined, j_pres, j_engine, q_m)
     out = DiagramMaps()

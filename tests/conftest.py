@@ -49,3 +49,12 @@ def random_zero_dim_ideal(rng, nvars=None, field=F101, homogeneous=True,
 
 def rng_for(seed):
     return random.Random(seed)
+
+
+def nonzero_coordinates(vectors):
+    """Number of nonzero coordinate polynomials over the given vectors (each
+    a ModuleVector or a list of polynomials): the `poly_matrix` calls that
+    building their action matrices on one target costs."""
+    return sum(not p.is_zero()
+               for v in vectors
+               for p in (v if isinstance(v, list) else v.coordinates()))

@@ -1,8 +1,10 @@
 import pytest
 
-from conftest import random_zero_dim_ideal, rng_for
+from conftest import nonzero_coordinates, random_zero_dim_ideal, rng_for
+from hilbcert.artinian import ArtinianQuotient, FiniteModule
 from hilbcert.certify import (
     Check,
+    TNTData,
     derive_verdict,
     dimension_formulas,
     elementary_certificate,
@@ -13,6 +15,8 @@ from hilbcert.certify import (
 from hilbcert.fields import GF, QQ
 from hilbcert.gallery import build_M, build_R
 from hilbcert.groebner import IdealPresentation
+from hilbcert.homology import Presentation, hom_space, relation_syzygy_engine
+from hilbcert.modules import FreeModule
 from hilbcert.parsing import parse_polynomial
 from hilbcert.rings import GradedRing
 
@@ -190,3 +194,45 @@ def test_dimension_formulas():
     assert dimension_formulas(2)["deg_R"] == 8
     with pytest.raises(ValueError):
         dimension_formulas(1)
+
+
+# -- work done once ---------------------------------------------------------
+
+
+def test_translation_check_reads_the_hom_relations():
+    """The translations are checked against the relations the Hom was
+    computed on: a relation that is not a syzygy of the generators (a
+    generator's basis vector) trips the check."""
+    ideal, _ = build_R(2, field=GF(3))
+    q = ArtinianQuotient(ideal)
+    assert TNTData(ideal, hom_space(Presentation.of_ideal(ideal), q)).result \
+        == "true"
+    free = FreeModule(ideal.ring, ideal.gen_degrees)
+    pres = Presentation(ideal.ring, ideal.gen_degrees,
+                        list(ideal.syzygies) + [free.basis_vector(0)])
+    with pytest.raises(AssertionError, match="translation map violates"):
+        TNTData(ideal, hom_space(pres, q))
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_certificate_builds_each_action_once(e, monkeypatch):
+    """One action matrix per nonzero coordinate of each relation: the
+    syzygies of I (shared by Hom(I, S/I), the translation check and the
+    restrictions into Hom(syzygies, S/I)) and the syzygies among them that
+    the obstruction check's window keeps."""
+    ideal, _ = build_R(e, field=GF(3))
+    q = ArtinianQuotient(ideal)
+    engine = relation_syzygy_engine(Presentation.of_ideal(ideal), q, floor=0)
+    expected = (nonzero_coordinates(ideal.syzygies)
+                + nonzero_coordinates(engine.syzygies))
+    calls = []
+    poly_matrix = FiniteModule.poly_matrix
+
+    def counted(self, p):
+        calls.append(p)
+        return poly_matrix(self, p)
+
+    monkeypatch.setattr(FiniteModule, "poly_matrix", counted)
+    cert = elementary_certificate(ideal)
+    assert cert.verdict == "smooth-elementary"
+    assert len(calls) == expected

@@ -105,11 +105,12 @@ def test_lowered_cap_is_caught(monkeypatch):
     cap one too low) disagrees with the oracle."""
     window = homology.relation_window
 
-    def one_too_low(relations, target, homogeneous, floor=None):
-        floor, cap, kept = window(relations, target, homogeneous, floor)
+    def one_too_low(pres, target, floor=None):
+        floor, cap, kept = window(pres, target, floor)
         if cap is None:
             return floor, cap, kept
-        return floor, cap - 1, [s for s in kept if s.degree() < cap]
+        return floor, cap - 1, [i for i in kept
+                                if pres.relations[i].degree() < cap]
 
     monkeypatch.setattr(homology, "relation_window", one_too_low)
     wrong = [ideal for ideal in _nonneg_ideals(GF(3))
@@ -165,12 +166,13 @@ def test_default_window_cap_keeps_every_relation(e, monkeypatch):
     q = ArtinianQuotient(ideal)
     relations = list(ideal.syzygies)
     largest = max(s.degree() for s in relations)
-    floor, cap, kept = homology.relation_window(relations, q, True)
+    floor, cap, kept = homology.relation_window(
+        homology.Presentation.of_ideal(ideal), q)
     assert floor == min(q.degrees) - largest
     assert cap == q.socle_degree() - floor
     assert cap == max(q.degrees) - min(q.degrees) + largest
-    assert kept == relations
-    assert any(s.degree() == largest for s in kept)
+    assert kept == list(range(len(relations)))
+    assert any(relations[i].degree() == largest for i in kept)
     engines = []
     engine_class = homology.ModuleGroebner
 

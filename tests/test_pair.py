@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from hilbcert import homology
-from hilbcert.artinian import ArtinianQuotient
+from hilbcert.artinian import ArtinianQuotient, FiniteModule
 from hilbcert.certify import pair_certificate, tnt_check
 from hilbcert.fields import GF, QQ
 from hilbcert.gallery import bilinear_form, build_M, build_R
@@ -26,6 +26,7 @@ from hilbcert.homology import (
 from hilbcert.linalg import rank
 
 import loop_reference
+from conftest import nonzero_coordinates
 
 FIELDS = {"GF2": GF(2), "GF3": GF(3), "GF101": GF(101), "QQ": QQ}
 
@@ -81,14 +82,11 @@ def test_pair_shares_tangents_and_j_engine(name):
         # Ext^1(J, N) through the engine built against S/I_M equals the one
         # through an engine built against N itself, for both targets
         _, _, j_pres = homology._j_presentation(m, r)
-        shared = relation_syzygy_engine(m.ring, j_pres.gen_degrees,
-                                        j_pres.relations, q_m, True)
+        shared = relation_syzygy_engine(j_pres, q_m)
         for target in (q_r, q_m):
-            own = ext1_generic(m.ring, j_pres.gen_degrees, j_pres.relations,
-                               target, True)
-            via_shared = ext1_generic(m.ring, j_pres.gen_degrees,
-                                      j_pres.relations, target, True,
-                                      rel_engine=shared)
+            hom_j = hom_space(j_pres, target)
+            own = ext1_generic(hom_j)
+            via_shared = ext1_generic(hom_j, rel_engine=shared)
             assert via_shared.dims == own.dims, where
             assert _reps(via_shared) == _reps(own), where
             if target is q_r:
@@ -111,7 +109,18 @@ def test_pair_certificate_builds_each_object_once(monkeypatch):
     field = GF(3)
     m = build_M(2, field)
     r, _ = build_R(2, field=field)
-    counts = {"engines": 0, "quotients": 0, "homs": 0}
+    # one action matrix per nonzero coordinate of each vector, per target:
+    # the syzygies of I_R and I_M, the combined ideal's syzygies (J's
+    # relations are their coordinates on the extras, so Hom(J, N) and the
+    # restriction rows share those), the syzygies among J's relations and
+    # the lifts of M's generators, for N = S/I_R and S/I_M; and I_M's
+    # syzygies once more for Hom(I_M, J)
+    _, combined, j_pres = homology._j_presentation(m, r)
+    j_engine = relation_syzygy_engine(j_pres, ArtinianQuotient(m))
+    lifts = [r.normal_form(g)[1] for g in m.gens]
+    per_target = sum(nonzero_coordinates(vectors) for vectors in (
+        r.syzygies, m.syzygies, combined.syzygies, j_engine.syzygies, lifts))
+    counts = {"engines": 0, "quotients": 0, "homs": 0, "poly_matrix": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -123,6 +132,8 @@ def test_pair_certificate_builds_each_object_once(monkeypatch):
                         counted("engines", ModuleGroebner.__init__))
     monkeypatch.setattr(ArtinianQuotient, "__init__",
                         counted("quotients", ArtinianQuotient.__init__))
+    monkeypatch.setattr(FiniteModule, "poly_matrix",
+                        counted("poly_matrix", FiniteModule.poly_matrix))
     wrapped = counted("homs", hom_space)
     for mod_name, module in list(sys.modules.items()):
         if mod_name == "hilbcert" or mod_name.startswith("hilbcert."):
@@ -134,4 +145,6 @@ def test_pair_certificate_builds_each_object_once(monkeypatch):
     # engines: the combined presentation of I_R and J's relations;
     # quotients: S/I_M and S/I_R; Hom: four per row of the long exact
     # sequence (I_R, I_M, J and J's relations) and Hom(I_M, J)
-    assert counts == {"engines": 2, "quotients": 2, "homs": 9}
+    assert counts == {"engines": 2, "quotients": 2, "homs": 9,
+                      "poly_matrix": 2 * per_target
+                      + nonzero_coordinates(m.syzygies)}
