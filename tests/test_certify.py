@@ -205,8 +205,8 @@ def test_translation_check_reads_the_hom_relations():
     generator's basis vector) trips the check."""
     ideal, _ = build_R(2, field=GF(3))
     q = ArtinianQuotient(ideal)
-    assert TNTData(ideal, hom_space(Presentation.of_ideal(ideal), q)).result \
-        == "true"
+    hom = hom_space(Presentation.of_ideal(ideal), q)
+    assert TNTData(ideal, hom).result == "true"
     free = FreeModule(ideal.ring, ideal.gen_degrees)
     pres = Presentation(ideal.ring, ideal.gen_degrees,
                         list(ideal.syzygies) + [free.basis_vector(0)])
