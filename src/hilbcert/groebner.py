@@ -5,7 +5,9 @@ submodules of shifted free modules.  Every basis element carries a lift
 expressing it in the input generators, and every S-pair that reduces to zero
 yields a syzygy of the input generators (the reduction transcript composed
 with the lifts).  To make the syzygy transcripts a generating set, the input
-generators all stay in the working basis and no S-pair is skipped.
+generators all stay in the working basis and no S-pair below the degree cap
+is skipped.  A graded Artinian ideal sets that cap itself, at the regularity
+bound past which it has no minimal syzygy.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def vector_normal_form(v: ModuleVector, basis, leads=None):
     work = dict(v.terms)
     # lazy max-heap: every reduction step only introduces terms strictly
     # below the one being cancelled, so stale entries can be skipped
-    degree, order_key = ring.degree, ring.order_key
-    heap = [(_heap_key(module, c, e, degree(e)), (c, e)) for (c, e) in work]
+    order_key = ring.order_key
+    heap = [(_heap_key(module, c, e, order_key(e)[0]), (c, e)) for (c, e) in work]
     heapq.heapify(heap)
     while heap:
         key, t = heapq.heappop(heap)
@@ -153,8 +155,10 @@ class ModuleGroebner:
     """Groebner basis of a submodule, with lifts and transcript syzygies.
 
     Attributes:
-      syzygies   -- ModuleVectors over the input generators spanning their
-                    syzygy module (up to max_degree when capped)
+      syzygies   -- ModuleVectors over the input generators that generate
+                    their syzygy module (up to max_degree when capped); for
+                    a graded Artinian ideal, only the transcripts up to its
+                    regularity cap, which the engine sets in max_degree
       syzygy_module -- the free module of the syzygies, one component per
                     input vector
       reduced    -- reduced (monic, interreduced) basis
@@ -195,9 +199,47 @@ class ModuleGroebner:
                 self.syzygies.append(self.syzygy_module.basis_vector(j))
                 continue
             counter = self._add(v, self._unit_lift(j), pairs, counter)
+        # a graded ideal looks for a regularity cap at each new pair degree
+        watch = (self.module.shifts == (0,)
+                 and all(v.is_homogeneous() for v in self.inputs))
+        current = None
         while pairs:
+            d = pairs[0][0]
+            if watch and d != current:
+                current = d
+                watch = not self._cap_at_regularity(d)
+            if self.max_degree is not None and d > self.max_degree:
+                break
             _, _, i, j = heapq.heappop(pairs)
             counter = self._process_pair(i, j, pairs, counter)
+
+    def _cap_at_regularity(self, d):
+        """Lower max_degree once a graded ideal's quotient has vanished.
+
+        Pairs come in increasing degree, so before the first pair of degree d
+        the leads generate the initial ideal below d.  If no monomial of
+        degree d - max_weight .. d - 1 is standard, S/I vanishes from there
+        up; with t its top degree, the Koszul complex gives Tor_2(S/I, k)_j
+        = 0 for j > t + w1 + w2 (the two largest weights).  Minimal syzygies
+        then sit in degrees <= max(t + w1 + w2, largest input degree), and
+        every Groebner element in degree <= t + max_weight, so the
+        transcripts up to that cap still generate the syzygy module.
+        Returns whether the search is over: capped, or the unit ideal."""
+        ring = self.ring
+        leads = [e for _, e in self.leads]
+        for t in range(d - 1, -1, -1):
+            if any(all(div_exps(m, e) is None for e in leads)
+                   for m in ring.monomials_of_degree(t)):
+                break
+        else:
+            return True
+        if t >= d - ring.max_weight:
+            return False
+        cap = max(t + sum(sorted(ring.weights)[-2:]),
+                  max(v.degree() for v in self.inputs))
+        if self.max_degree is None or cap < self.max_degree:
+            self.max_degree = cap
+        return True
 
     def _add(self, v, lift, pairs, counter):
         k = len(self.basis)
@@ -363,8 +405,9 @@ class IdealPresentation:
     """An ideal with its reduced Groebner basis, lifts, and first syzygies.
 
     The generators are kept as given.  The syzygies generate the first-syzygy
-    module: for homogeneous generators they are a minimal generating set,
-    otherwise they are every Groebner transcript syzygy.
+    module: for homogeneous generators they are a minimal generating set
+    (trimmed from the transcripts up to the engine's regularity cap when the
+    ideal is Artinian), otherwise they are every Groebner transcript syzygy.
     """
 
     def __init__(self, ring: GradedRing, gens):

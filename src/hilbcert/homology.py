@@ -375,7 +375,8 @@ def relation_syzygy_engine(pres: Presentation, target: FiniteModule,
 def ext1_space(ideal: IdealPresentation, target: FiniteModule, floor=None):
     """Ext^1(I, target) for an ideal against its chosen generators, in hom
     degrees >= floor (by default all of them)."""
-    return ext1_generic(hom_space(Presentation.of_ideal(ideal), target), floor)
+    return ext1_generic(hom_space(Presentation.of_ideal(ideal), target, floor),
+                        floor)
 
 
 def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):

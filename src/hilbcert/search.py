@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from functools import lru_cache
 
 from .certify import elementary_certificate
 from .fields import GF, field_name
@@ -21,6 +22,13 @@ from .parsing import IdealFile
 from .rings import GradedRing
 
 DEFAULT_FIELD = GF(101)
+
+
+@lru_cache(maxsize=None)
+def _shared_ring(names, field):
+    """One ring per (variables, field), shared by every shape: a kept
+    outcome then holds no order-key cache of its own."""
+    return GradedRing(names, None, field)
 
 
 class CandidateShape:
@@ -63,7 +71,7 @@ class CandidateShape:
                 )
         names = list(self.base_vars)
         names += [f"z{i+1}" for i in range(added_vars)]
-        self.ring = GradedRing(names, None, field)
+        self.ring = _shared_ring(tuple(names), field)
         slice_dim = len(self.ring.monomials_of_degree(socle))
         if codim < 0 or codim > slice_dim:
             raise ValueError(

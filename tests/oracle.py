@@ -275,29 +275,28 @@ def minimal_syzygy_degrees(ring, gens, up_to):
     """Degrees of a minimal generating set of the first-syzygy module,
     computed degree by degree with plain linear algebra (kernel of the
     evaluation map on monomial coordinates, modulo the variable multiples
-    of lower-degree kernels)."""
+    of lower-degree kernels: x_i times the kernel in degree d - w_i)."""
     f = ring.field
     gd = [g.degree() for g in gens]
     out = {}
-    prev = None
+    kernels = {}
     for d in range(min(gd), up_to + 1):
         kern, labels, _ = syzygy_kernel(ring, gens, d)
+        label_index = {lab: i for i, lab in enumerate(labels)}
         shifted = []
-        if prev is not None:
-            pk, pl = prev
-            label_index = {lab: i for i, lab in enumerate(labels)}
+        for i, w in enumerate(ring.weights):
+            pk, pl = kernels.get(d - w, ((), ()))
             for vec in pk:
-                for i in range(ring.n):
-                    row = [f.zero] * len(labels)
-                    for c, (j, m) in zip(vec, pl):
-                        if c != f.zero:
-                            key = (j, m[:i] + (m[i] + 1,) + m[i + 1 :])
-                            pos = label_index[key]
-                            row[pos] = f.add(row[pos], c)
-                    shifted.append(row)
+                row = [f.zero] * len(labels)
+                for c, (j, m) in zip(vec, pl):
+                    if c != f.zero:
+                        key = (j, m[:i] + (m[i] + 1,) + m[i + 1 :])
+                        pos = label_index[key]
+                        row[pos] = f.add(row[pos], c)
+                shifted.append(row)
         # kernel vectors outside the span of the lower-degree multiples
         new = len(independent_modulo(shifted, kern, len(labels), f))
         if new:
             out[d] = new
-        prev = (kern, labels)
+        kernels[d] = (kern, labels)
     return out

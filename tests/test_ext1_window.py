@@ -183,3 +183,29 @@ def test_default_window_cap_keeps_every_relation(e, monkeypatch):
     monkeypatch.setattr(homology, "ModuleGroebner", engine)
     ext1_space(ideal, q)
     assert engines == [cap]
+
+
+def test_ext1_space_computes_hom_from_floor(monkeypatch):
+    """`ext1_space` builds Hom(I, target) from the floor up only (`Ext^1`
+    reads just its relations' actions) and gives the dimensions and
+    representatives of the same floor over the full Hom."""
+    floors = []
+    hom_space = homology.hom_space
+
+    def record(pres, target, floor=None):
+        floors.append(floor)
+        return hom_space(pres, target, floor)
+
+    for ideal in _nonneg_ideals(GF(3)):
+        q = ArtinianQuotient(ideal)
+        full_hom = hom_space(homology.Presentation.of_ideal(ideal), q)
+        want = homology.ext1_generic(full_hom, floor=0)
+        with monkeypatch.context() as m:
+            m.setattr(homology, "hom_space", record)
+            got = ext1_space(ideal, q, floor=0)
+        assert floors[0] == 0
+        floors.clear()
+        assert got.dims == want.dims
+        assert [(d, h.flatten()) for d, h in got.representatives] == \
+            [(d, h.flatten()) for d, h in want.representatives]
+        assert got.representatives

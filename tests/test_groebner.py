@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,10 @@ from hilbcert.groebner import (
     vector_normal_form,
 )
 from hilbcert.modules import FreeModule
-from hilbcert.rings import GradedRing
+from hilbcert.rings import GradedRing, lcm_exps
 
 import loop_reference
+import oracle
 
 F101 = GF(101)
 
@@ -157,9 +160,10 @@ def _generator_vectors(ideal):
 
 
 def _transcripts(ideal):
-    """The Groebner transcript syzygies of the ideal's generators, before a
-    graded presentation trims them."""
-    return ModuleGroebner(ideal.free, _generator_vectors(ideal)).syzygies
+    """Every Groebner transcript syzygy of the ideal's generators, with no
+    regularity cap and before a graded presentation trims them."""
+    return loop_reference.ReferenceGroebner(
+        ideal.free, _generator_vectors(ideal)).syzygies
 
 
 def _assert_same_kept(vectors):
@@ -205,19 +209,26 @@ def test_minimal_generators_match_groebner_loop_on_conftest_ideals(field):
     assert dropped > 0
 
 
-def test_minimal_generators_match_groebner_loop_on_weighted_entry():
+def _weighted_ideal():
+    """The weighted-homogeneous generators of the weighted entry, plus two
+    weighted forms of degree 4, in the (3,1,3,1) ring."""
     entry = build_entry("weighted_counterexample").ideal
-    # x1*y1 + x2*y2 has weighted degrees 6 and 2: the entry keeps its
-    # transcripts, so compare on its weighted-homogeneous generators plus
-    # two weighted forms of degree 4
-    assert not entry.homogeneous
-    assert entry.syzygies == _transcripts(entry)
     ring = entry.ring
     x1, x2, y1, y2 = ring.gens()
     gens = [g for g in entry.gens if g.is_homogeneous()]
     gens += [x1 * y2 + x2**3 * y2, x2 * y1 + x2 * y2**3]
     ideal = IdealPresentation(ring, gens)
     assert ideal.homogeneous and ring.weights == (3, 1, 3, 1)
+    return ideal
+
+
+def test_minimal_generators_match_groebner_loop_on_weighted_entry():
+    entry = build_entry("weighted_counterexample").ideal
+    # x1*y1 + x2*y2 has weighted degrees 6 and 2: the entry keeps its
+    # transcripts, so compare on a weighted-homogeneous ideal of its ring
+    assert not entry.homogeneous
+    assert entry.syzygies == _transcripts(entry)
+    ideal = _weighted_ideal()
     transcripts = _transcripts(ideal)
     kept = _assert_same_kept(transcripts)
     assert kept == ideal.syzygies
@@ -246,7 +257,10 @@ def _assert_engine_matches_reference(module, vectors, rng):
     ref = loop_reference.ReferenceGroebner(module, vectors)
     assert engine.reduced == ref.reduced
     assert engine.reduced_lifts == ref.reduced_lifts
-    assert engine.syzygies == ref.syzygies
+    # a graded Artinian ideal stops at its regularity cap
+    cap = engine.max_degree
+    assert engine.syzygies == [s for s in ref.syzygies
+                               if cap is None or s.degree() <= cap]
     fresh = loop_reference.fresh_leading_term
     for b, lead in engine.working:
         assert lead == b.leading_term() == fresh(b)
@@ -299,3 +313,100 @@ def test_engine_matches_reference_on_hunt_candidates(shape_args, field):
         candidate.free, _generator_vectors(candidate), rng_for(12))
     assert candidate.syzygies == minimal_generators(ref.syzygies)
     assert candidate._engine.reduced_lifts == ref.reduced_lifts
+
+
+# -- the regularity cap -------------------------------------------------------
+
+
+def _assert_cap_keeps_minimal_syzygies(ideal):
+    """Every minimal syzygy degree the linear-algebra oracle finds lies at or
+    below max(t + w1 + w2, largest generator degree), t the quotient's top
+    degree, with as many presented syzygies per degree.  The engine capped
+    there, unless its S-pairs ran out first.  Returns (cap, oracle degrees)."""
+    ring = ideal.ring
+    top = oracle.socle_degree(ring, ideal.gens)
+    bound = max(top + sum(sorted(ring.weights)[-2:]), max(ideal.gen_degrees))
+    cap = ideal._engine.max_degree
+    assert cap in (None, bound)
+    want = oracle.minimal_syzygy_degrees(ring, ideal.gens, bound + ring.max_weight)
+    assert max(want) <= bound
+    assert Counter(s.degree() for s in ideal.syzygies) == want
+    return cap, want
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ])
+def test_regularity_cap_keeps_minimal_syzygies_on_conftest_ideals(field):
+    capped = 0
+    for seed in range(6):
+        ideal = random_zero_dim_ideal(rng_for(1300 + seed), field=field)
+        capped += _assert_cap_keeps_minimal_syzygies(ideal)[0] is not None
+    assert capped
+
+
+def test_regularity_cap_keeps_minimal_syzygies_on_weighted_ideal():
+    assert _assert_cap_keeps_minimal_syzygies(_weighted_ideal())[0] is not None
+
+
+@pytest.mark.parametrize("shape_args", [(4, 2, 3), (4, 2, 1), (4, 3, 10),
+                                        (3, 3, 4), (4, 2, 5), (3, 2, 2),
+                                        (5, 2, 6)])
+def test_regularity_cap_keeps_minimal_syzygies_on_hunt_candidates(shape_args):
+    shape = search.CandidateShape(*shape_args)
+    candidate = search.random_candidate(shape, 12)
+    assert _assert_cap_keeps_minimal_syzygies(candidate)[0] is not None
+
+
+def test_regularity_cap_keeps_syzygy_of_redundant_generator():
+    """x^5 lies in (x, y, z)^3, whose quotient tops out in degree 2, so
+    t + w1 + w2 = 4; the syzygy that writes x^5 through x^3 sits in degree 5."""
+    ring = GradedRing(["x", "y", "z"], None, F101)
+    cubes = [ring.monomial(m) for m in ring.monomials_of_degree(3)]
+    ideal = IdealPresentation(ring, cubes + [ring.variable("x") ** 5])
+    assert _assert_cap_keeps_minimal_syzygies(ideal)[1][5] == 1
+    assert ideal._engine.max_degree == 5
+    # a complete intersection whose first S-pair, in degree 4, comes long
+    # before its top degree 6: its quotient never vanishes below a pair, so
+    # the engine keeps the degree-7 pairs and sets no cap
+    x, y, z = ring.gens()
+    ideal = IdealPresentation(ring, [x**2, y**2, z**5])
+    assert _assert_cap_keeps_minimal_syzygies(ideal) == (None, {4: 1, 7: 2})
+
+
+def test_non_artinian_ideal_keeps_every_transcript():
+    ring = GradedRing(["x", "y"], None, F101)
+    x, y = ring.gens()
+    free = FreeModule(ring, (0,))
+    vectors = [poly_to_vector(g, free) for g in (x**2, x * y, x**3 + x**2 * y)]
+    engine = ModuleGroebner(free, vectors)
+    ref = loop_reference.ReferenceGroebner(free, vectors)
+    assert engine.max_degree is None
+    assert engine.syzygies == ref.syzygies
+    assert engine.reduced == ref.reduced
+
+
+class _PairDegrees(ModuleGroebner):
+    """The engine, recording the degree of every S-pair it processes."""
+
+    def _process_pair(self, i, j, pairs, counter):
+        comp, lcm = self.leads[i][0], lcm_exps(self.leads[i][1], self.leads[j][1])
+        self.pair_degrees.append(self.module.term_degree(comp, lcm))
+        return super()._process_pair(i, j, pairs, counter)
+
+    def _run(self):
+        self.pair_degrees = []
+        super()._run()
+
+
+def test_no_pair_processed_above_regularity_cap():
+    """A (4,2,3) candidate's quotient tops out in degree 2, so no S-pair of
+    degree above 2 + 1 + 1 is processed, though its generators have pairs in
+    degree 5 and 6."""
+    shape = search.CandidateShape(4, 2, 3)
+    candidate = search.random_candidate(shape, 12)
+    engine = _PairDegrees(candidate.free, _generator_vectors(candidate))
+    assert engine.max_degree == 4
+    assert max(engine.pair_degrees) == 4
+    assert engine.reduced == candidate._engine.reduced
+    full = _transcripts(candidate)
+    assert max(s.degree() for s in full) > 4
+    assert minimal_generators(full) == candidate.syzygies

@@ -124,4 +124,4 @@ def test_hunt_outcome_stays_lean(monkeypatch):
         retained = (held - tracemalloc.get_traced_memory()[0]) / count
     finally:
         tracemalloc.stop()
-    assert retained < 16 * 1024
+    assert retained < 8 * 1024
