@@ -196,6 +196,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except AssertionError as exc:
+        # a failed self-check says nothing about the input's verdict
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -161,7 +161,8 @@ class ModuleGroebner:
                     regularity cap, which the engine sets in max_degree
       syzygy_module -- the free module of the syzygies, one component per
                     input vector
-      reduced    -- reduced (monic, interreduced) basis
+      reduced    -- reduced Groebner basis: monic, in increasing lead order,
+                    built in one pass over the minimal leads
       reduced_lifts -- lifts of the reduced basis in the input generators
 
     While it runs, the engine keeps the input vectors and a working basis
@@ -314,74 +315,37 @@ class ModuleGroebner:
     # -- reduced basis ----------------------------------------------------
 
     def _interreduce(self):
+        """The basis elements with minimal leads, in increasing lead order,
+        each reduced by the ones kept before it (a larger lead divides no
+        smaller term) and made monic."""
         order = sorted(
             range(len(self.basis)),
-            key=lambda k: self.module.order_key(*self.basis[k].leading_term()),
+            key=lambda k: self.module.order_key(*self.leads[k]),
         )
-        kept = []
-        kept_lifts = []
-        lead_list = []
-        for k in order:
-            lt = self.basis[k].leading_term()
-            comp, exps = lt
-            if any(
-                bcomp == comp and div_exps(exps, bexps) is not None
-                for bcomp, bexps in lead_list
-            ):
-                continue
-            kept.append(self.basis[k])
-            kept_lifts.append(list(self.lifts[k]))
-            lead_list.append(lt)
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(kept)):
-                others = kept[:k] + kept[k + 1 :]
-                other_lifts = kept_lifts[:k] + kept_lifts[k + 1 :]
-                remainder, quotients = vector_normal_form(kept[k], others)
-                if any(q for q in quotients):
-                    changed = True
-                    lift = list(kept_lifts[k])
-                    for idx, q in enumerate(quotients):
-                        if q.is_zero():
-                            continue
-                        for j, p in enumerate(other_lifts[idx]):
-                            if p:
-                                lift[j] = lift[j] - q * p
-                    kept[k] = remainder
-                    kept_lifts[k] = lift
         f = self.ring.field
-        for k in range(len(kept)):
-            c = kept[k].leading_coefficient()
-            if c != f.one:
-                inv = f.inv(c)
-                kept[k] = kept[k].scale(inv)
-                kept_lifts[k] = [p.scale(inv) for p in kept_lifts[k]]
+        kept, kept_lifts, kept_leads = [], [], []
+        for k in order:
+            comp, exps = self.leads[k]
+            if any(bcomp == comp and div_exps(exps, bexps) is not None
+                   for bcomp, bexps in kept_leads):
+                continue
+            remainder, quotients = vector_normal_form(self.basis[k], kept,
+                                                      kept_leads)
+            lift = list(self.lifts[k])
+            for q, other in zip(quotients, kept_lifts):
+                if q.is_zero():
+                    continue
+                for j, p in enumerate(other):
+                    if p:
+                        lift[j] = lift[j] - q * p
+            inv = f.inv(remainder.leading_coefficient())
+            if inv != f.one:
+                remainder = remainder.scale(inv)
+                lift = [p.scale(inv) for p in lift]
+            kept.append(remainder)
+            kept_lifts.append(lift)
+            kept_leads.append((comp, exps))
         return kept, kept_lifts
-
-    def share_exponents(self):
-        """Rebuild the reduced basis, its lifts and the syzygies so that
-        equal exponent tuples, and equal (component, exponents) keys, are
-        one object: the engine makes a fresh tuple for every product term,
-        and a kept presentation would otherwise hold one per term."""
-        exps, keys = {}, {}
-
-        def poly(p):
-            if not p:
-                return p
-            return Polynomial(p.ring, {exps.setdefault(e, e): c
-                                       for e, c in p.terms.items()})
-
-        def vector(v):
-            terms = {}
-            for (i, e), c in v.terms.items():
-                e = exps.setdefault(e, e)
-                terms[keys.setdefault((i, e), (i, e))] = c
-            return ModuleVector(v.module, terms)
-
-        self.reduced = [vector(v) for v in self.reduced]
-        self.reduced_lifts = [[poly(p) for p in lift] for lift in self.reduced_lifts]
-        self.syzygies = [vector(v) for v in self.syzygies]
 
     # -- queries -----------------------------------------------------------
 
@@ -425,9 +389,6 @@ class IdealPresentation:
         self.syzygies = self._engine.syzygies
         self.syzygy_module = self._engine.syzygy_module
         self.trim_syzygies()
-        # what the presentation keeps, rebuilt on shared exponent tuples
-        self._engine.share_exponents()
-        self.syzygies = self._engine.syzygies
 
     @property
     def gb(self):

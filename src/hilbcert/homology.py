@@ -409,11 +409,17 @@ def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):
 def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> DegreeCounts:
     """The obstruction classes inside `ext1 = ext1_space(ideal, target)`,
     against the same target and through the same second-syzygy engine: the
-    classes that kill the trivial syzygies, for S/I the genuine obstructions."""
+    classes that kill the trivial syzygies, for S/I the genuine obstructions.
+    The target must be S/J with I inside J: a map phi from the free cover
+    then sends the lift of g_i e_j - g_j e_i to g_i phi(e_j) - g_j phi(e_i)
+    = 0, so a class's values there do not depend on its representative."""
     if not ideal.homogeneous:
         raise ValueError("obstruction space computation requires homogeneous input")
     syz_engine = ext1.rel_engine
     target = ext1.syz_hom.target
+    if not (isinstance(target, ArtinianQuotient)
+            and all(target.ideal.contains(g) for g in ideal.gens)):
+        raise ValueError("obstruction space needs a target S/J with the ideal inside J")
     f = ideal.ring.field
     # express each trivial (Koszul) syzygy in the first-syzygy generators;
     # one above the engine's degree cap lands above the target's top degree
@@ -428,22 +434,14 @@ def t2_space(ideal: IdealPresentation, ext1: Ext1Space) -> DegreeCounts:
             raise AssertionError("trivial syzygy outside the syzygy module")
         koszul_actions.append(actions(lift, target))
     dims = {}
-    img_by_deg = _by_degree(ext1.image_rows)
     for d, reps in sorted(_by_degree(ext1.representatives).items()):
-        # condition: some representative modulo the image kills every
-        # trivial syzygy; count independent such classes
-        img = img_by_deg.get(d, [])
-        candidates = [h.flatten() for h in reps] + img
-        # values of the candidates on the trivial syzygies, one row per
-        # (syzygy, coordinate) and one column per candidate
-        images = image_matrix(candidates)
+        # the representatives' values on the trivial syzygies, one row per
+        # (syzygy, coordinate): the classes killing them are its kernel
+        images = image_matrix([h.flatten() for h in reps])
         values = []
         for action in koszul_actions:
             values.extend(evaluate(action, images, target))
-        kern = nullspace(values, len(candidates), f)
-        # dimension of (kernel + image)/image
-        dim = len(independent_modulo(img, mat_mul(kern, candidates, f),
-                                     ext1.width, f))
+        dim = len(reps) - rank(values, len(reps), f)
         if dim:
             dims[d] = dim
     return DegreeCounts(dims, graded=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hilbcert import cli
 from hilbcert.cli import main
 
 X2Y2 = "field: QQ\nvars: x y\ngens:\nx^2\ny^2\n"
@@ -58,6 +59,23 @@ def test_certify_pair(tmp_path, capsys):
 def test_certify_graded_only(tmp_path, capsys):
     path = _gallery_file(tmp_path, capsys, "weighted_counterexample")
     assert main(["certify", path, "--graded-only"]) == 4
+
+
+def test_failed_self_check_is_an_error_not_a_verdict(tmp_path, capsys,
+                                                    monkeypatch):
+    """A library self-check that fails exits with the error code, not 1
+    (TNT-elementary), which an uncaught AssertionError would give."""
+
+    def broken(ideal):
+        raise AssertionError("trivial syzygy outside the syzygy module")
+
+    monkeypatch.setattr(cli, "elementary_certificate", broken)
+    path = _write(tmp_path, "x2y2.txt", X2Y2)
+    assert main(["certify", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("internal error: trivial syzygy outside the "
+                            "syzygy module\n")
+    assert captured.out == ""
 
 
 def test_parse_error_reports_location(tmp_path, capsys):

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly, random_zero_dim_ideal, rng_for
-from hilbcert import search
+from hilbcert import groebner, search
+from hilbcert.artinian import ArtinianQuotient
 from hilbcert.fields import GF, QQ
-from hilbcert.gallery import build_entry
+from hilbcert.gallery import build_entry, build_R
 from hilbcert.groebner import (
     IdealPresentation,
     ModuleGroebner,
@@ -15,6 +16,7 @@ from hilbcert.groebner import (
     poly_to_vector,
     vector_normal_form,
 )
+from hilbcert.homology import Presentation, relation_syzygy_engine
 from hilbcert.modules import FreeModule
 from hilbcert.rings import GradedRing, lcm_exps
 
@@ -292,7 +294,7 @@ def test_engine_matches_reference_on_conftest_ideals(field, homogeneous):
         ideal = random_zero_dim_ideal(rng, field=field, homogeneous=homogeneous)
         ref = _assert_engine_matches_reference(
             ideal.free, _generator_vectors(ideal), rng)
-        # the presentation keeps the same results, exponents shared
+        # the presentation keeps the same results
         assert ideal._engine.reduced_lifts == ref.reduced_lifts
         assert ideal.gb == [b.coordinate(0) for b in ref.reduced]
         assert ideal.leading_exponents() == [g.leading_monomial() for g in ideal.gb]
@@ -410,3 +412,43 @@ def test_no_pair_processed_above_regularity_cap():
     full = _transcripts(candidate)
     assert max(s.degree() for s in full) > 4
     assert minimal_generators(full) == candidate.syzygies
+
+
+# -- the reduced basis ----------------------------------------------------------
+
+
+def test_reduced_basis_takes_one_normal_form_per_kept_element(monkeypatch):
+    """The reduced basis is built in one pass: one `vector_normal_form` call
+    per kept element, on a (4,2,3) candidate (whose ten kept elements took
+    twenty calls in a reduce-until-stable loop), R(3) over GF(3), a QQ
+    conftest ideal, and the relation engine of R(3)'s obstruction check."""
+    normal_form = groebner.vector_normal_form
+    interreduce = ModuleGroebner._interreduce
+    calls = []  # per engine: [normal forms in the pass, kept elements]
+    passing = []
+
+    def counted_normal_form(*args, **kwargs):
+        if passing:
+            calls[-1][0] += 1
+        return normal_form(*args, **kwargs)
+
+    def counted_interreduce(self):
+        calls.append([0, 0])
+        passing.append(self)
+        try:
+            kept, lifts = interreduce(self)
+        finally:
+            passing.pop()
+        calls[-1][1] = len(kept)
+        return kept, lifts
+
+    monkeypatch.setattr(groebner, "vector_normal_form", counted_normal_form)
+    monkeypatch.setattr(ModuleGroebner, "_interreduce", counted_interreduce)
+    search.random_candidate(search.CandidateShape(4, 2, 3), 12)
+    assert calls == [[10, 10]]
+    r3, _ = build_R(3, field=GF(3))  # M(3), then R(3)
+    random_zero_dim_ideal(rng_for(7028), field=QQ)
+    relation_syzygy_engine(Presentation.of_ideal(r3), ArtinianQuotient(r3),
+                           floor=0)
+    assert len(calls) == 5 and all(kept > 1 for _, kept in calls)
+    assert all(n == kept for n, kept in calls), calls

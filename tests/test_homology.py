@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import random_poly, random_zero_dim_ideal, rng_for
-from hilbcert.artinian import ArtinianQuotient
+from hilbcert.artinian import ArtinianQuotient, submodule
 from hilbcert.fields import GF, QQ
 from hilbcert.groebner import IdealPresentation
 from hilbcert.homology import (
@@ -164,6 +164,69 @@ def test_t2_requires_homogeneous():
         t2_space(ideal, ext1)
 
 
+def test_t2_against_a_larger_ideal_matches_reference():
+    """S/J with I inside J: the classes' values on the trivial syzygies
+    still ignore the representative, so one rank per degree gives what the
+    image-inclusive reference gives."""
+    ring = GradedRing(["x", "y"], None, F101)
+    x, y = ring.gens()
+    ideal = IdealPresentation(ring, [x**3, x * y, y**3])
+    target = ArtinianQuotient(IdealPresentation(ring, [x**2, x * y, y**2]))
+    ext1 = ext1_space(ideal, target)
+    assert ext1.dims == {-4: 2, -3: 2}
+    t2 = t2_space(ideal, ext1)
+    assert t2.dims == {-3: 2}
+    assert t2.dims == loop_reference.t2_dims(ideal, target, ext1,
+                                             ext1.rel_engine)
+
+
+def test_t2_needs_a_target_the_ideal_kills():
+    ring = GradedRing(["x", "y"], None, F101)
+    x, y = ring.gens()
+    ideal = IdealPresentation(ring, [x**2, y**2])
+    # S/J with I outside J
+    target = ArtinianQuotient(IdealPresentation(ring, [x**3, x * y, y**3]))
+    with pytest.raises(ValueError, match="S/J with the ideal inside J"):
+        t2_space(ideal, ext1_space(ideal, target))
+    # a module I kills that is no quotient: the maximal ideal of S/I
+    q = ArtinianQuotient(ideal)
+    closure, _ = submodule(q, [q.poly_vector(x), q.poly_vector(y)])
+    assert closure.dim == q.dim - 1
+    with pytest.raises(ValueError, match="S/J with the ideal inside J"):
+        t2_space(ideal, ext1_space(ideal, closure))
+
+
+def _weighted_211_ideals():
+    """Zero-dimensional ideals in x, y, z of weights (2, 1, 1): pure powers
+    plus random weighted forms, over each field."""
+    out = []
+    for seed in (1, 2, 5, 7, 8, 10):
+        field = FIELDS[seed % 4]
+        rng = rng_for(7100 + seed)
+        ring = GradedRing(["x", "y", "z"], (2, 1, 1), field)
+        x, y, z = ring.gens()
+        gens = [x**2, y**rng.randint(2, 3), z**rng.randint(2, 3)]
+        gens += [random_poly(ring, rng, homogeneous=True)
+                 for _ in range(rng.randint(1, 2))]
+        out.append(IdealPresentation(ring, gens))
+    return out
+
+
+def test_t2_matches_reference_on_weighted_ideals():
+    nonzero = nonneg = 0
+    for ideal in _weighted_211_ideals():
+        assert ideal.homogeneous
+        q = ArtinianQuotient(ideal)
+        for floor in (None, 0):
+            ext1 = ext1_space(ideal, q, floor)
+            t2 = t2_space(ideal, ext1)
+            assert t2.dims == loop_reference.t2_dims(ideal, q, ext1,
+                                                     ext1.rel_engine)
+            nonzero += bool(t2.dims)
+            nonneg += floor == 0 and bool(ext1.dims)
+    assert nonzero >= 3 and nonneg >= 2
+
+
 def test_hom_respects_scalar_change_of_generators():
     base = _ideal(("x^2", "x*y", "y^2"), field=F101)
     ring = base.ring
@@ -179,8 +242,9 @@ def test_hom_respects_scalar_change_of_generators():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_ext1_and_t2_match_greedy_rank_loop(field):
-    ungraded = 0
-    for seed in range(1, 13):
+    ungraded = partial = 0
+    # seed 28 has degrees with 0 < dim T^2_d < dim Ext^1_d over every field
+    for seed in [*range(1, 13), 28]:
         ideal = random_zero_dim_ideal(rng_for(7000 + seed), field=field,
                                       homogeneous=seed % 2 == 0)
         q = ArtinianQuotient(ideal)
@@ -194,7 +258,9 @@ def test_ext1_and_t2_match_greedy_rank_loop(field):
             continue
         t2 = t2_space(ideal, ext1)
         assert t2.dims == loop_reference.t2_dims(ideal, q, ext1, ext1.rel_engine)
+        partial += any(0 < v < ext1.dims[d] for d, v in t2.dims.items())
     assert ungraded >= 2
+    assert partial
 
 
 def test_ext1_series_needs_grading():
