@@ -87,7 +87,8 @@ class FiniteModule:
             return cached
         i = next(k for k, e in enumerate(exps) if e > 0)
         prev = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-        m = mat_mul(self.matrices[i], self.monomial_matrix(prev), self.ring.field)
+        m = mat_mul(self.matrices[i], self.monomial_matrix(prev), self.dim,
+                    self.ring.field)
         self._monomial_matrices[exps] = m
         return m
 
@@ -125,7 +126,7 @@ class FiniteModule:
             while any(any(row) for row in power):
                 if exponent >= self.dim:
                     return False
-                power = mat_mul(power, power, f)
+                power = mat_mul(power, power, self.dim, f)
                 exponent *= 2
         return True
 

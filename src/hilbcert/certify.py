@@ -170,7 +170,7 @@ class TNTData:
                     f"dimension {dim0} at bound {start} vs {dim1} at {start + 1}"
                 )
             self.cutoff_checked = True
-            nonneg_rows = mat_mul(coeffs, self.hom.flat_rows(), f)
+            nonneg_rows = mat_mul(coeffs, self.hom.flat_rows(), width, f)
             self.dim_nonneg = len(nonneg_rows)
         self.dim_total = total
         self.dim_negative = total - self.dim_nonneg

@@ -1,8 +1,12 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
-Field elements are plain Python values (ints in [0, p) for GF(p),
-`fractions.Fraction` for QQ).  A field object bundles the arithmetic so the
-rest of the library never touches floating point.
+Field elements are plain Python values: ints in [0, p) for GF(p), and for
+QQ an `int` when the value is integral and a `fractions.Fraction` with
+denominator > 1 otherwise.  Both are `numbers.Rational`, and equal values
+compare and hash equal, so the mix is invisible to every answer; most QQ
+values met in practice are integers, whose arithmetic and truth tests run
+in C.  A field object bundles the arithmetic so the rest of the library
+never touches floating point.
 """
 
 from __future__ import annotations
@@ -75,25 +79,29 @@ class PrimeField:
         return f"GF({self.char})"
 
 
+def _norm(x):
+    """The canonical form of a rational value: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The rationals with arbitrary-precision Fraction arithmetic."""
+    """The rationals, exact: ints where integral, Fractions otherwise."""
 
     char = 0
-    # Fractions are immutable, so every caller can share these two
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
+    def of(self, n):
+        return n if type(n) is int else _norm(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        return _norm(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _norm(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _norm(a * b)
 
     def neg(self, a):
         return -a
@@ -101,12 +109,12 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _norm(Fraction(1, a))
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
+        return _norm(Fraction(a, b))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

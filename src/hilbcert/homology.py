@@ -122,11 +122,8 @@ def evaluate(action, images, target: FiniteModule):
         for row, m_row in zip(stacked, m):
             row.extend(m_row)
         blocks.extend(images[j * dim : (j + 1) * dim])
-    if not blocks:
-        # the zero vector, or no homs
-        width = len(images[0]) if images else 0
-        return [[f.zero] * width for _ in range(dim)]
-    return mat_mul(stacked, blocks, f)
+    width = len(images[0]) if images else 0
+    return mat_mul(stacked, blocks, width, f)
 
 
 def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
@@ -248,7 +245,7 @@ def hom_nonneg_filtration(ideal: IdealPresentation, quotient: ArtinianQuotient,
                     poly = poly + ring.monomial(e).scale(c)
             if poly.is_zero():
                 continue
-            for row in mat_mul(functionals, values_on(poly), f):
+            for row in mat_mul(functionals, values_on(poly), m, f):
                 if any(x != f.zero for x in row):
                     constraints.append(row)
 
@@ -473,9 +470,10 @@ def post_composition(hom: HomSpace, pi):
     f = hom.target.ring.field
     dim = hom.target.dim
     images = image_matrix(hom.flat_rows())
+    width = len(hom.elements)
     rows = []
     for j in range(hom.source.rank):
-        rows.extend(mat_mul(pi, images[j * dim : (j + 1) * dim], f))
+        rows.extend(mat_mul(pi, images[j * dim : (j + 1) * dim], width, f))
     return [list(col) for col in zip(*rows)]
 
 

@@ -3,7 +3,9 @@
 Matrices are lists of rows; rows are lists of field elements.  All routines
 are exact.  GF(2) rows are packed into integers and eliminated with xor;
 other prime fields use inline modular arithmetic; QQ is eliminated over
-the integers and turned back into Fractions only on output.
+the integers and divided back into canonical QQ values (ints where
+integral) only on output.  `rref` alone builds that output: `rank` and
+`independent_modulo` read the pivots of the bare elimination.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .fields import _norm
 
-def _rref_gf2(rows, ncols):
+
+def _eliminate_gf2(rows, ncols):
+    """Rows packed into ints (bit j is column j), reduced with xor.  The
+    reduced rows come out in pivot order."""
     packed = []
     for row in rows:
         v = 0
@@ -39,12 +45,10 @@ def _rref_gf2(rows, ncols):
         pivots.append(c)
         if not packed:
             break
-    unpacked = [[(v >> j) & 1 for j in range(ncols)] for v in out]
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [unpacked[i] for i in order], sorted(pivots)
+    return out, pivots
 
 
-def _rref_gfp(rows, ncols, p):
+def _eliminate_gfp(rows, ncols, p):
     m = [[x % p for x in row] for row in rows]
     pivots = []
     r = 0
@@ -73,11 +77,11 @@ def _rref_gfp(rows, ncols, p):
     return m[:r], pivots
 
 
-def _rref_qq(rows, ncols, zero):
+def _eliminate_qq(rows, ncols):
     """Gauss-Jordan over the integers.  Each row is scaled by the lcm of its
     denominators and every row built is divided by its content, so that
-    entries stay small; `Fraction`s are built again only when each pivot
-    row is divided by its pivot, which gives the unique reduced form."""
+    entries stay small.  Row i is the reduced row of pivot i times a
+    nonzero integer."""
     m = []
     for row in rows:
         nonzero = [(j, x) for j, x in enumerate(row) if x]
@@ -115,27 +119,41 @@ def _rref_qq(rows, ncols, zero):
         r += 1
         if r == nrows:
             break
-    out = []
-    for row, c in zip(m, pivots):
-        a = row[c]
-        out.append([Fraction(x, a) if x else zero for x in row])
-    return out, pivots
+    return m[:r], pivots
 
 
-def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+def _eliminate(rows, ncols, field):
+    """The elimination alone: (working rows, pivot columns), the rows in
+    the kernel's own form (packed ints for GF(2), integer multiples of the
+    reduced rows for QQ)."""
     if not rows:
         return [], []
     p = field.char
     if p == 2:
-        return _rref_gf2(rows, ncols)
+        return _eliminate_gf2(rows, ncols)
     if p:
-        return _rref_gfp(rows, ncols, p)
-    return _rref_qq(rows, ncols, field.zero)
+        return _eliminate_gfp(rows, ncols, p)
+    return _eliminate_qq(rows, ncols)
+
+
+def rref(rows, ncols, field):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    work, pivots = _eliminate(rows, ncols, field)
+    p = field.char
+    if p == 2:
+        return [[(v >> j) & 1 for j in range(ncols)] for v in work], pivots
+    if p:
+        return work, pivots
+    out = []
+    for row, c in zip(work, pivots):
+        a = row[c]
+        # zero entries stay the int 0 without a division
+        out.append([x and (Fraction(x, a) if x % a else x // a) for x in row])
+    return out, pivots
 
 
 def rank(rows, ncols, field) -> int:
-    return len(rref(rows, ncols, field)[0])
+    return len(_eliminate(rows, ncols, field)[1])
 
 
 def nullspace(rows, ncols, field):
@@ -159,8 +177,8 @@ def row_space_basis(rows, ncols, field):
 
 
 class _Columns:
-    """The transpose of a list of rows, one column at a time: `rref`'s own
-    working copy is then the only full copy of it."""
+    """The transpose of a list of rows, one column at a time: the
+    elimination's own working copy is then the only full copy of it."""
 
     def __init__(self, rows, ncols):
         self.rows = rows
@@ -184,7 +202,7 @@ def independent_modulo(base, candidates, ncols, field):
     stack = list(base) + list(candidates)
     if not stack or not ncols:
         return []
-    _, pivots = rref(_Columns(stack, ncols), len(stack), field)
+    _, pivots = _eliminate(_Columns(stack, ncols), len(stack), field)
     offset = len(base)
     return [c - offset for c in pivots if c >= offset]
 
@@ -228,35 +246,23 @@ def matvec(rows, vec, field):
     return out
 
 
-def mat_mul(a, b, field):
-    """Matrix product; a is m x k, b is k x n, both lists of rows."""
-    if not a or not b:
-        return [[] for _ in a]
-    k = len(b)
-    n = len(b[0])
-    zero = field.zero
+def mat_mul(a, b, ncols, field):
+    """Matrix product; a is m x k, b is k x ncols, both lists of rows.
+    Sums are native, and each output row is reduced once: mod p, or over QQ
+    to canonical form, where an integral Fraction sum becomes an int."""
     p = field.char
     out = []
-    if p:
-        for row in a:
-            acc = [0] * n
-            for t, x in enumerate(row):
-                if x:
-                    bt = b[t]
-                    for j in range(n):
-                        if bt[j]:
-                            acc[j] += x * bt[j]
-            out.append([v % p for v in acc])
-        return out
     for row in a:
-        acc = [zero] * n
-        for t, x in enumerate(row):
+        acc = [0] * ncols
+        for x, bt in zip(row, b):
             if x:
-                bt = b[t]
-                for j in range(n):
-                    if bt[j]:
-                        acc[j] = field.add(acc[j], field.mul(x, bt[j]))
-        out.append(acc)
+                for j, y in enumerate(bt):
+                    if y:
+                        acc[j] += x * y
+        if p:
+            out.append([v % p for v in acc])
+        else:
+            out.append([v if type(v) is int else _norm(v) for v in acc])
     return out
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_zero_dim_ideal, rng_for
@@ -9,7 +11,9 @@ from hilbcert.artinian import (
     submodule,
 )
 from hilbcert.fields import GF, QQ
+from hilbcert.gallery import build_R
 from hilbcert.groebner import IdealPresentation
+from hilbcert.homology import Presentation, hom_space
 from hilbcert.parsing import parse_polynomial
 from hilbcert.rings import GradedRing
 
@@ -154,3 +158,17 @@ def test_monomial_matrix_memoization_consistency():
     direct = loop_reference.act(q, p, q.poly_vector(q.ring.one))
     via_matrix = [row[q.index[(0, 0)]] for row in q.poly_matrix(p)]
     assert direct == via_matrix
+
+
+def test_qq_action_matrices_hold_integers():
+    """Over QQ an integral value is an int: the action matrices of R(2)
+    with a +-1 coefficient matrix, and the multiplication matrices they are
+    built from, hold no Fraction object at all."""
+    ideal, general = build_R(2, [[1, -1], [1, 1]], QQ)
+    assert general
+    q = ArtinianQuotient(ideal)
+    hom = hom_space(Presentation.of_ideal(ideal), q)
+    matrices = [m for action in hom.actions for _, m in action] + q.matrices
+    cells = [x for m in matrices for row in m for x in row]
+    assert len(cells) > 1000 and any(cells)
+    assert not any(isinstance(x, Fraction) for x in cells)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ def test_solve_and_identity(field):
     rhs = [field.of(3), field.of(4)]
     x = solve(rows, 2, rhs, field)
     assert matvec(rows, x, field) == rhs
-    assert mat_mul(rows, identity(2, field), field) == rows
+    assert mat_mul(rows, identity(2, field), 2, field) == rows
 
 
 @pytest.mark.parametrize("field", [F7, F2, QQ])
@@ -189,10 +190,12 @@ def _qq_corpus(seed, count):
         yield rows, ncols
 
 
-def _all_fractions(value):
+def _canonical(value):
+    """Every QQ entry is an int, or a Fraction that is not integral."""
     if isinstance(value, list):
-        return all(_all_fractions(v) for v in value)
-    return value is None or isinstance(value, Fraction)
+        return all(_canonical(v) for v in value)
+    return (value is None or type(value) is int
+            or (type(value) is Fraction and value.denominator > 1))
 
 
 def _qq_questions(rows, ncols, rng):
@@ -217,17 +220,20 @@ def _qq_questions(rows, ncols, rng):
 def test_integer_kernel_matches_fraction_elimination(monkeypatch):
     """The QQ kernel eliminates over the integers; every answer built on it
     must equal the one from Gauss-Jordan in Fraction arithmetic, entry for
-    entry, with every entry a Fraction."""
+    entry, with every entry in canonical form.  The reference replaces both
+    the full `rref` and the pivots-only elimination of `rank` and
+    `independent_modulo`."""
     for i, (rows, ncols) in enumerate(_qq_corpus(1968, 300)):
         got = _qq_questions(rows, ncols, random.Random(i))
         with monkeypatch.context() as m:
             m.setattr(linalg, "rref", rref_fraction)
+            m.setattr(linalg, "_eliminate", rref_fraction)
             want = _qq_questions(rows, ncols, random.Random(i))
         assert got == want, (rows, ncols)
         red, pivots = got["rref"]
         for key in ("rref", "nullspace", "left_nullspace", "solve", "coordinates"):
             value = got[key][0] if key == "rref" else got[key]
-            assert _all_fractions(value), (key, rows)
+            assert _canonical(value), (key, rows)
         assert got["rank"] + len(got["nullspace"]) == ncols
         assert all(row[c] == 1 for row, c in zip(red, pivots))
 
@@ -241,7 +247,10 @@ def test_integer_kernel_keeps_huge_entries_exact():
     assert (red, pivots) == rref_fraction(rows, 3, QQ)
     assert pivots == [0, 1, 2] and red == identity(3, QQ)
     assert rank(rows[:2], 3, QQ) == 2
-    assert all(isinstance(x, Fraction) for row in red for x in row)
+    assert _canonical(red)
+    red, _ = rref(rows[:2], 3, QQ)
+    assert red == rref_fraction(rows[:2], 3, QQ)[0]
+    assert _canonical(red) and any(type(x) is Fraction for row in red for x in row)
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(101), QQ])
@@ -252,6 +261,101 @@ def test_det_matches_rank_and_products(field):
         a = _random_stack(rng, field, n, n)
         b = [[field.of(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         assert (det(a, field) == field.zero) == (rank(a, n, field) < n)
-        assert det(mat_mul(a, b, field), field) == field.mul(det(a, field), det(b, field))
+        assert det(mat_mul(a, b, n, field), field) == field.mul(det(a, field), det(b, field))
     assert det([], field) == field.one
     assert det([[field.of(2), field.of(1)], [field.of(1), field.of(1)]], field) == field.one
+
+
+def _rational(rng):
+    """An int or a Fraction: small, huge, integral Fractions (not in
+    canonical form) and zero of both types."""
+    big = 10**30 + rng.randint(-50, 50)
+    return rng.choice([
+        rng.randint(-9, 9),
+        rng.choice([-1, 1]) * big,
+        Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        Fraction(rng.randint(-9, 9) * 6, 3),
+        Fraction(rng.randint(-9, 9), big),
+        Fraction(big, rng.choice([7, 10**29 + 1])),
+        0,
+        Fraction(0),
+    ])
+
+
+def test_rational_field_matches_fraction_arithmetic():
+    """QQ arithmetic against plain Fraction arithmetic on mixed int and
+    Fraction operands: equal values and hashes, and every result in
+    canonical form.  `PrimeField.of` reads ints and Fractions alike."""
+    rng = random.Random(1212)
+    primes = [GF(2), GF(3), GF(101)]
+    for _ in range(3000):
+        a, b = _rational(rng), _rational(rng)
+        fa, fb = Fraction(a), Fraction(b)
+        pairs = [(QQ.of(a), fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+                 (QQ.mul(a, b), fa * fb), (QQ.neg(QQ.of(a)), -fa)]
+        if fb:
+            pairs += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.div(a, b)
+            with pytest.raises(ZeroDivisionError):
+                QQ.inv(b)
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want), (a, b)
+            assert _canonical(got), (a, b, got)
+        for field in primes:
+            p = field.char
+            if fa.denominator % p:
+                want = fa.numerator * pow(fa.denominator, -1, p) % p
+                assert field.of(a) == field.of(fa) == field.of(QQ.of(a)) == want
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    field.of(a)
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    for field in primes:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(101), QQ])
+def test_pivots_only_elimination_matches_rref(field):
+    """`rank` and `independent_modulo` read the pivots of the bare
+    elimination, without the output rows: they must be the pivots of
+    `rref`, and `independent_modulo` must keep the greedy loop's rows."""
+    rng = random.Random(77 + field.char)
+    for _ in range(150):
+        ncols = rng.randint(0, 7)
+        stack = _random_stack(rng, field, rng.randint(0, 10), ncols)
+        _, pivots = rref(stack, ncols, field)
+        assert linalg._eliminate(stack, ncols, field)[1] == pivots
+        assert rank(stack, ncols, field) == len(pivots)
+        cut = rng.randint(0, len(stack))
+        base, cands = stack[:cut], stack[cut:]
+        transpose = [[row[j] for row in stack] for j in range(ncols)]
+        _, column_pivots = rref(transpose, len(stack), field)
+        got = independent_modulo(base, cands, ncols, field)
+        assert got == [c - cut for c in column_pivots if c >= cut]
+        assert got == independent_greedy(base, cands, ncols, field)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(101), QQ])
+def test_mat_mul_matches_entrywise_sums(field):
+    """One product loop for every field: each entry is the field sum of its
+    products in the field's own form, and a product over k = 0 gives rows
+    of `ncols` zeros."""
+    rng = random.Random(31 + field.char)
+    for _ in range(80):
+        m, k, n = (rng.randint(0, 4) for _ in range(3))
+        a = _random_stack(rng, field, m, k)
+        b = _random_stack(rng, field, k, n)
+        want = [[field.zero] * n for _ in range(m)]
+        for i, j, t in itertools.product(range(m), range(n), range(k)):
+            want[i][j] = field.add(want[i][j], field.mul(a[i][t], b[t][j]))
+        got = mat_mul(a, b, n, field)
+        assert got == want
+        if field.char:
+            assert all(0 <= x < field.char for row in got for x in row)
+        else:
+            assert _canonical(got)
+    assert mat_mul([[], []], [], 3, field) == [[field.zero] * 3] * 2
+    assert mat_mul([], [[field.one]], 1, field) == []
