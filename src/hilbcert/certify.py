@@ -233,7 +233,15 @@ def tnt_check(ideal: IdealPresentation):
 
 def elementary_certificate(ideal: IdealPresentation) -> Certificate:
     t0 = time.perf_counter()
-    tnt = tnt_data(ideal)
+    cert = _elementary_certificate(tnt_data(ideal))
+    cert.elapsed = time.perf_counter() - t0
+    return cert
+
+
+def _elementary_certificate(tnt: TNTData) -> Certificate:
+    """The certificate of `tnt.ideal`, untimed, from its tangent data, which
+    holds S/I and Hom(I, S/I)."""
+    ideal = tnt.ideal
     quotient = tnt.hom.target
     hf = quotient.hilbert_function()
     checks = [
@@ -263,9 +271,7 @@ def elementary_certificate(ideal: IdealPresentation) -> Certificate:
         checks.append(Check("obstruction-vanishing", payload, vanishes))
         if vanishes:
             dimension = tnt.dim_total
-    cert = Certificate(fingerprint(ideal), checks, dimension=dimension,
-                       elapsed=time.perf_counter() - t0)
-    return cert
+    return Certificate(fingerprint(ideal), checks, dimension=dimension)
 
 
 def pair_certificate(M: IdealPresentation, R: IdealPresentation,

@@ -12,8 +12,8 @@ from math import comb
 
 from .artinian import ArtinianQuotient
 from .certify import (
+    _elementary_certificate,
     dimension_formulas,
-    elementary_certificate,
     pair_certificate,
     tnt_check,
     tnt_data,
@@ -232,12 +232,14 @@ def verify(spec: GallerySpec) -> dict:
         }
 
     expected = spec.expected
+    needs_cert = {"verdict", "dimension"} & set(expected)
     needs_hom = {
         "dim_hom", "dim_hom_negative", "hom_series", "dim_hom_degree_minus1",
         "ext1_series", "dim_ext1_nonneg",
     } & set(expected)
-    if "tnt" in expected:
-        # the tangent test's S/I and Hom(I, S/I) serve every record below
+    if "tnt" in expected or needs_cert:
+        # the tangent test's S/I and Hom(I, S/I) serve every record below,
+        # the elementary certificate included
         tnt = tnt_data(ideal)
         quotient, hom = tnt.hom.target, tnt.hom
     elif needs_hom or {"degree", "hilbert_function"} & set(expected):
@@ -274,8 +276,8 @@ def verify(spec: GallerySpec) -> dict:
     if "matrix_det" in expected:
         record("matrix_det", expected["matrix_det"],
                det(spec.companion["matrix"], ideal.ring.field))
-    if {"verdict", "dimension"} & set(expected):
-        cert = elementary_certificate(ideal)
+    if needs_cert:
+        cert = _elementary_certificate(tnt)
         if "verdict" in expected:
             record("verdict", expected["verdict"], cert.verdict)
         if "dimension" in expected:

@@ -6,8 +6,11 @@ expressing it in the input generators, and every S-pair that reduces to zero
 yields a syzygy of the input generators (the reduction transcript composed
 with the lifts).  To make the syzygy transcripts a generating set, the input
 generators all stay in the working basis and no S-pair below the degree cap
-is skipped.  A graded Artinian ideal sets that cap itself, at the regularity
-bound past which it has no minimal syzygy.
+is skipped while the basis may still grow.  A graded Artinian ideal sets
+that cap itself, at the regularity bound past which it has no minimal
+syzygy.  From there on its basis is complete and a pair only yields a
+transcript, so the engine trims the transcripts as it records them and
+skips the rest of a degree once the kept syzygies span it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,34 @@ def _echelon_insert(echelon, row, field):
     return False
 
 
+class _DegreeSpan:
+    """Sparse echelon form of homogeneous vectors of one degree d, started
+    from the degree-d monomial multiples of the kept (degree, vector)
+    pairs; rows sit under their largest term id, terms numbered as first
+    seen.  Its length is its rank."""
+
+    def __init__(self, ring, kept, d):
+        self.degree = d
+        self.field = ring.field
+        self.echelon, self.ids = {}, {}
+        ids = self.ids
+        for kd, k in kept:
+            for m in ring.monomials_of_degree(d - kd):
+                row = {ids.setdefault((c, mul_exps(e, m)), len(ids)): x
+                       for (c, e), x in k.terms.items()}
+                _echelon_insert(self.echelon, row, self.field)
+
+    def __len__(self):
+        return len(self.echelon)
+
+    def add(self, terms):
+        """Insert a degree-d term dict (left as it is); returns whether it
+        lies outside the span."""
+        ids = self.ids
+        row = {ids.setdefault(t, len(ids)): x for t, x in terms.items()}
+        return _echelon_insert(self.echelon, row, self.field)
+
+
 def minimal_generators(vectors):
     """The nonzero vectors, stably sorted by degree, outside the submodule
     generated by the ones kept before them.  For homogeneous vectors the
@@ -63,18 +94,11 @@ def minimal_generators(vectors):
         decorated.append((degrees.pop(), v))
     decorated.sort(key=itemgetter(0))
     kept = []
-    current = None
+    span = None
     for d, v in decorated:
-        ring = v.module.ring
-        if d != current:
-            current, echelon, ids = d, {}, {}  # ids number the terms seen
-            for kd, k in kept:
-                for m in ring.monomials_of_degree(d - kd):
-                    row = {ids.setdefault((c, mul_exps(e, m)), len(ids)): x
-                           for (c, e), x in k.terms.items()}
-                    _echelon_insert(echelon, row, ring.field)
-        row = {ids.setdefault(t, len(ids)): x for t, x in v.terms.items()}
-        if _echelon_insert(echelon, row, ring.field):
+        if span is None or span.degree != d:
+            span = _DegreeSpan(v.module.ring, kept, d)
+        if span.add(v.terms):
             kept.append((d, v))
     return [v for _, v in kept]
 
@@ -157,8 +181,11 @@ class ModuleGroebner:
     Attributes:
       syzygies   -- ModuleVectors over the input generators that generate
                     their syzygy module (up to max_degree when capped); for
-                    a graded Artinian ideal, only the transcripts up to its
-                    regularity cap, which the engine sets in max_degree
+                    a graded Artinian ideal, a minimal generating set: the
+                    greedy trim (`minimal_generators`) of the transcripts
+                    up to its regularity cap, which the engine sets in
+                    max_degree
+      trimmed    -- whether `syzygies` is that trim already
       syzygy_module -- the free module of the syzygies, one component per
                     input vector
       reduced    -- reduced Groebner basis: monic, in increasing lead order,
@@ -178,12 +205,14 @@ class ModuleGroebner:
         self.max_degree = max_degree
         self.syzygy_module = FreeModule(self.ring, [v.degree() for v in self.inputs])
         self.syzygies = []
+        self.trimmed = False
+        self._span = None  # the top degree's trim echelon, once trimming
         self.basis = []
         self.leads = []
         self.lifts = []
         self._run()
         self.reduced, self.reduced_lifts = self._interreduce()
-        del self.inputs, self.basis, self.leads, self.lifts
+        del self.inputs, self.basis, self.leads, self.lifts, self._span
 
     # -- construction -----------------------------------------------------
 
@@ -206,11 +235,27 @@ class ModuleGroebner:
         current = None
         while pairs:
             d = pairs[0][0]
-            if watch and d != current:
+            if d != current:
+                # max_degree only moves here, and no pair above a cap given
+                # up front is ever queued
                 current = d
-                watch = not self._cap_at_regularity(d)
-            if self.max_degree is not None and d > self.max_degree:
-                break
+                if watch and self._cap_at_regularity(d):
+                    # the basis is complete: every pair left reduces to zero
+                    watch = False
+                    self.syzygies = minimal_generators(self.syzygies)
+                    self.trimmed = True
+                if self.max_degree is not None and d > self.max_degree:
+                    break
+                if self.trimmed:
+                    self._span = _DegreeSpan(
+                        self.ring, [(s.degree(), s) for s in self.syzygies], d)
+                    full = self._syzygy_dim(d)
+            if self.trimmed and len(self._span) == full:
+                # the kept syzygies span Syz_d, so the trim would drop every
+                # transcript the degree's other pairs could give
+                while pairs and pairs[0][0] == d:
+                    heapq.heappop(pairs)
+                continue
             _, _, i, j = heapq.heappop(pairs)
             counter = self._process_pair(i, j, pairs, counter)
 
@@ -220,12 +265,15 @@ class ModuleGroebner:
         Pairs come in increasing degree, so before the first pair of degree d
         the leads generate the initial ideal below d.  If no monomial of
         degree d - max_weight .. d - 1 is standard, S/I vanishes from there
-        up; with t its top degree, the Koszul complex gives Tor_2(S/I, k)_j
-        = 0 for j > t + w1 + w2 (the two largest weights).  Minimal syzygies
-        then sit in degrees <= max(t + w1 + w2, largest input degree), and
-        every Groebner element in degree <= t + max_weight, so the
-        transcripts up to that cap still generate the syzygy module.
-        Returns whether the search is over: capped, or the unit ideal."""
+        up (every larger monomial is a multiple of one of those degrees), so
+        the leads generate the whole initial ideal: the basis is complete,
+        each Groebner element has degree <= t + max_weight < d, t the top
+        degree of S/I, and every pair left reduces to zero.  The Koszul
+        complex gives Tor_2(S/I, k)_j = 0 for j > t + w1 + w2 (the two
+        largest weights), so minimal syzygies sit in degrees
+        <= max(t + w1 + w2, largest input degree), and the transcripts up to
+        that cap still generate the syzygy module.
+        Returns whether S/I has vanished: capped, or the unit ideal."""
         ring = self.ring
         leads = [e for _, e in self.leads]
         for t in range(d - 1, -1, -1):
@@ -241,6 +289,17 @@ class ModuleGroebner:
         if self.max_degree is None or cap < self.max_degree:
             self.max_degree = cap
         return True
+
+    def _syzygy_dim(self, d):
+        """dim Syz_d = sum_j dim S_{d - deg g_j} - dim S_d, from
+        0 -> Syz -> F -> I -> 0 with S/I zero in degree d.  Zero and
+        redundant inputs count: they are summands of F."""
+        mons = self.ring.monomials_of_degree
+
+        def dim(k):
+            return len(mons(k)) if k >= 0 else 0
+
+        return sum(dim(d - s) for s in self.syzygy_module.shifts) - dim(d)
 
     def _add(self, v, lift, pairs, counter):
         k = len(self.basis)
@@ -305,11 +364,12 @@ class ModuleGroebner:
 
     def _record_syzygy(self, i, j, qi, ci, qj, cj, quotients):
         """The S-pair reduced to zero: its transcript, composed with the
-        lifts, is a syzygy of the inputs."""
+        lifts, is a syzygy of the inputs.  Once trimming, it is kept only
+        outside the span of the kept syzygies."""
         terms = {(j0, e): c
                  for j0, t in enumerate(self._transcript(i, j, qi, ci, qj, cj, quotients))
                  for e, c in t.items()}
-        if terms:
+        if terms and (not self.trimmed or self._span.add(terms)):
             self.syzygies.append(ModuleVector(self.syzygy_module, terms))
 
     # -- reduced basis ----------------------------------------------------
@@ -370,8 +430,9 @@ class IdealPresentation:
 
     The generators are kept as given.  The syzygies generate the first-syzygy
     module: for homogeneous generators they are a minimal generating set
-    (trimmed from the transcripts up to the engine's regularity cap when the
-    ideal is Artinian), otherwise they are every Groebner transcript syzygy.
+    (trimmed by the engine from the transcripts up to its regularity cap
+    when the ideal is Artinian), otherwise they are every Groebner
+    transcript syzygy.
     """
 
     def __init__(self, ring: GradedRing, gens):
@@ -424,8 +485,9 @@ class IdealPresentation:
 
     def trim_syzygies(self):
         """Thin the transcript syzygies of a graded ideal to a minimal
-        generating set; inhomogeneous input keeps every transcript."""
-        if self.homogeneous:
+        generating set, unless the engine trimmed them at its regularity
+        cap; inhomogeneous input keeps every transcript."""
+        if self.homogeneous and not self._engine.trimmed:
             # the engine drops its copy too, so the redundant transcripts
             # do not stay alive with the presentation
             self.syzygies = self._engine.syzygies = minimal_generators(self.syzygies)

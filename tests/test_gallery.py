@@ -52,6 +52,27 @@ def test_groebner_fan_t0_verifies():
     assert res["tnt"]["actual"] == "false"
 
 
+@pytest.mark.parametrize("name, kwargs, quotients", [
+    ("re", {"e": 2}, 3), ("cevv143", {}, 3), ("naive56", {}, 1),
+    ("groebnerfan", {"t": 1}, 1),
+])
+def test_verify_builds_one_quotient_for_its_elementary_records(
+        name, kwargs, quotients, monkeypatch):
+    """The S/I and Hom(I, S/I) of verify's own records serve its elementary
+    certificate too; the `re` entries' pair certificate builds S/I_M and
+    S/I_R once more each."""
+    built = []
+    init = ArtinianQuotient.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ArtinianQuotient, "__init__", counted)
+    assert verify(build_entry(name, **kwargs))["all_match"]
+    assert len(built) == quotients
+
+
 def test_unknown_entry():
     with pytest.raises(KeyError):
         build_entry("nope")

@@ -145,8 +145,16 @@ def test_degree_cap_is_sound_for_homogeneous():
         if p.degree() <= 3:
             v = poly_to_vector(p, free)
             assert full.contains(v) == capped.contains(v)
-    # the capped engine records the full engine's syzygies up to the cap
-    assert capped.syzygies == [s for s in full.syzygies if s.degree() <= 4]
+    # the full engine reaches its regularity cap (S/I tops out in degree 3)
+    # and trims there; the one capped at 4 stops first and keeps every
+    # transcript up to 4, which trims to the full engine's syzygies there
+    ref = loop_reference.ReferenceGroebner(free, vectors)
+    assert full.trimmed and full.max_degree == 5 and not capped.trimmed
+    assert full.syzygies == minimal_generators(
+        [s for s in ref.syzygies if s.degree() <= 5])
+    assert capped.syzygies == [s for s in ref.syzygies if s.degree() <= 4]
+    assert minimal_generators(capped.syzygies) == [
+        s for s in full.syzygies if s.degree() <= 4]
 
 
 def test_unit_ideal_and_empty():
@@ -259,10 +267,13 @@ def _assert_engine_matches_reference(module, vectors, rng):
     ref = loop_reference.ReferenceGroebner(module, vectors)
     assert engine.reduced == ref.reduced
     assert engine.reduced_lifts == ref.reduced_lifts
-    # a graded Artinian ideal stops at its regularity cap
+    # a graded Artinian ideal stops at its regularity cap, and its engine
+    # keeps the greedy trim of the transcripts up to there
     cap = engine.max_degree
-    assert engine.syzygies == [s for s in ref.syzygies
-                               if cap is None or s.degree() <= cap]
+    assert engine.trimmed == (cap is not None)
+    transcripts = [s for s in ref.syzygies if cap is None or s.degree() <= cap]
+    assert engine.syzygies == (minimal_generators(transcripts)
+                               if engine.trimmed else transcripts)
     fresh = loop_reference.fresh_leading_term
     for b, lead in engine.working:
         assert lead == b.leading_term() == fresh(b)
@@ -320,11 +331,40 @@ def test_engine_matches_reference_on_hunt_candidates(shape_args, field):
 # -- the regularity cap -------------------------------------------------------
 
 
+class _PairDegrees(ModuleGroebner):
+    """The engine, recording the degree of every S-pair it processes."""
+
+    def _process_pair(self, i, j, pairs, counter):
+        comp, lcm = self.leads[i][0], lcm_exps(self.leads[i][1], self.leads[j][1])
+        self.pair_degrees.append(self.module.term_degree(comp, lcm))
+        return super()._process_pair(i, j, pairs, counter)
+
+    def _run(self):
+        self.pair_degrees = []
+        super()._run()
+
+
+class _StopCounts(ModuleGroebner):
+    """The engine, recording dim Syz_d in each degree it trims as it goes."""
+
+    def _syzygy_dim(self, d):
+        n = super()._syzygy_dim(d)
+        self.stop_counts[d] = n
+        return n
+
+    def _run(self):
+        self.stop_counts = {}
+        super()._run()
+
+
 def _assert_cap_keeps_minimal_syzygies(ideal):
     """Every minimal syzygy degree the linear-algebra oracle finds lies at or
     below max(t + w1 + w2, largest generator degree), t the quotient's top
     degree, with as many presented syzygies per degree.  The engine capped
-    there, unless its S-pairs ran out first.  Returns (cap, oracle degrees)."""
+    there, unless its S-pairs ran out first.  Where it then trimmed as it
+    went, its dim Syz_d is the dimension of the kernel of F_d -> S_d that the
+    oracle finds, and it kept the greedy trim of the uncapped reference's
+    transcripts.  Returns (cap, oracle degrees)."""
     ring = ideal.ring
     top = oracle.socle_degree(ring, ideal.gens)
     bound = max(top + sum(sorted(ring.weights)[-2:]), max(ideal.gen_degrees))
@@ -333,6 +373,15 @@ def _assert_cap_keeps_minimal_syzygies(ideal):
     want = oracle.minimal_syzygy_degrees(ring, ideal.gens, bound + ring.max_weight)
     assert max(want) <= bound
     assert Counter(s.degree() for s in ideal.syzygies) == want
+    vectors = _generator_vectors(ideal)
+    engine = _StopCounts(ideal.free, vectors)
+    assert engine.trimmed == bool(engine.stop_counts) == (cap is not None)
+    for d, n in engine.stop_counts.items():
+        assert n == len(oracle.syzygy_kernel(ring, ideal.gens, d)[0]), d
+    if cap is not None:
+        ref = loop_reference.ReferenceGroebner(ideal.free, vectors)
+        assert engine.syzygies == ideal.syzygies == minimal_generators(
+            [s for s in ref.syzygies if s.degree() <= cap])
     return cap, want
 
 
@@ -366,6 +415,14 @@ def test_regularity_cap_keeps_syzygy_of_redundant_generator():
     ideal = IdealPresentation(ring, cubes + [ring.variable("x") ** 5])
     assert _assert_cap_keeps_minimal_syzygies(ideal)[1][5] == 1
     assert ideal._engine.max_degree == 5
+    # a zero generator, of degree -1, is a summand of F too: dim Syz_4 counts
+    # the six degree-5 monomials of its component
+    ring2 = GradedRing(["x", "y"], None, F101)
+    x, y = ring2.gens()
+    ideal = IdealPresentation(ring2, [x**2, ring2.zero, x * y, y**3])
+    assert _assert_cap_keeps_minimal_syzygies(ideal) == (4, {-1: 1, 3: 1, 4: 1})
+    engine = _StopCounts(ideal.free, _generator_vectors(ideal))
+    assert engine.stop_counts == {4: 3 + 6 + 3 + 2 - 5}
     # a complete intersection whose first S-pair, in degree 4, comes long
     # before its top degree 6: its quotient never vanishes below a pair, so
     # the engine keeps the degree-7 pairs and sets no cap
@@ -386,19 +443,6 @@ def test_non_artinian_ideal_keeps_every_transcript():
     assert engine.reduced == ref.reduced
 
 
-class _PairDegrees(ModuleGroebner):
-    """The engine, recording the degree of every S-pair it processes."""
-
-    def _process_pair(self, i, j, pairs, counter):
-        comp, lcm = self.leads[i][0], lcm_exps(self.leads[i][1], self.leads[j][1])
-        self.pair_degrees.append(self.module.term_degree(comp, lcm))
-        return super()._process_pair(i, j, pairs, counter)
-
-    def _run(self):
-        self.pair_degrees = []
-        super()._run()
-
-
 def test_no_pair_processed_above_regularity_cap():
     """A (4,2,3) candidate's quotient tops out in degree 2, so no S-pair of
     degree above 2 + 1 + 1 is processed, though its generators have pairs in
@@ -412,6 +456,35 @@ def test_no_pair_processed_above_regularity_cap():
     full = _transcripts(candidate)
     assert max(s.degree() for s in full) > 4
     assert minimal_generators(full) == candidate.syzygies
+
+
+# -- the stop rule in the top degrees ------------------------------------------
+
+
+def test_top_degree_pairs_stop_once_the_kept_syzygies_span_it():
+    """A (4,2,1) candidate's kept degree-3 syzygies already span Syz_4, so
+    none of its degree-4 pairs runs; a (4,2,3) candidate runs fewer of them
+    than the 39 degree-4 transcripts the uncapped engine records."""
+    for shape_args, ran in (((4, 2, 1), 0), ((4, 2, 3), 5)):
+        candidate = search.random_candidate(search.CandidateShape(*shape_args), 12)
+        engine = _PairDegrees(candidate.free, _generator_vectors(candidate))
+        assert engine.max_degree == 4
+        assert Counter(engine.pair_degrees)[4] == ran
+        assert engine.syzygies == candidate.syzygies
+    transcripts = Counter(s.degree() for s in _transcripts(candidate))
+    assert transcripts[4] == 39
+
+
+def test_stop_count_one_too_low_loses_a_minimal_syzygy(monkeypatch):
+    candidate = search.random_candidate(search.CandidateShape(4, 2, 3), 12)
+    vectors = _generator_vectors(candidate)
+    want = minimal_generators(
+        [s for s in _transcripts(candidate) if s.degree() <= 4])
+    assert ModuleGroebner(candidate.free, vectors).syzygies == want
+    dim = ModuleGroebner._syzygy_dim
+    monkeypatch.setattr(ModuleGroebner, "_syzygy_dim",
+                        lambda self, d: dim(self, d) - 1)
+    assert ModuleGroebner(candidate.free, vectors).syzygies != want
 
 
 # -- the reduced basis ----------------------------------------------------------
