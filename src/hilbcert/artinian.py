@@ -9,7 +9,8 @@ the leading-term ideal of the Groebner basis).
 from __future__ import annotations
 
 from .groebner import IdealPresentation
-from .linalg import coordinates_in_rows, identity, mat_mul, matvec, row_space_basis
+from .linalg import (coordinates_in_rows, mat_mul, matvec, row_space_basis,
+                     sparse_combination, sparse_mat_mul)
 from .rings import GradedRing, Polynomial, div_exps, mul_exps
 
 
@@ -65,9 +66,11 @@ class HilbertFunction:
 class FiniteModule:
     """Finite-dimensional S-module given by multiplication matrices.
 
-    `matrices[i]` is a dim x dim matrix (list of rows) for the action of the
-    i-th variable on coordinate column vectors.  `degrees[j]` is the weighted
-    degree of the j-th basis vector.
+    `matrices[i]` is the dense dim x dim matrix (list of rows) of the i-th
+    variable's action on coordinate column vectors.  The action matrices of
+    monomials and polynomials are sparse: one {column: value} dict of
+    nonzero entries per row.  `degrees[j]` is the weighted degree of the
+    j-th basis vector.
     """
 
     def __init__(self, ring: GradedRing, degrees, matrices):
@@ -75,37 +78,37 @@ class FiniteModule:
         self.degrees = list(degrees)
         self.dim = len(self.degrees)
         self.matrices = matrices
-        self._monomial_matrices = {(0,) * ring.n: identity(self.dim, ring.field)}
+        self._monomial_matrices = {}
 
     def apply_var(self, i: int, vec):
         return matvec(self.matrices[i], vec, self.ring.field)
 
     def monomial_matrix(self, exps):
-        """Matrix of multiplication by x^exps, memoized."""
+        """Sparse matrix of multiplication by x^exps, memoized: x_i times
+        the matrix of x^exps / x_i, i the first variable x^exps uses."""
         cached = self._monomial_matrices.get(exps)
         if cached is not None:
             return cached
-        i = next(k for k, e in enumerate(exps) if e > 0)
-        prev = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-        m = mat_mul(self.matrices[i], self.monomial_matrix(prev), self.dim,
-                    self.ring.field)
+        i = next((k for k, e in enumerate(exps) if e > 0), None)
+        if i is None:
+            m = [{r: self.ring.field.one} for r in range(self.dim)]
+        else:
+            prev = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            if any(prev):
+                unit = tuple(int(k == i) for k in range(len(exps)))
+                m = sparse_mat_mul(self.monomial_matrix(unit),
+                                   self.monomial_matrix(prev), self.ring.field)
+            else:
+                m = [{j: x for j, x in enumerate(row) if x}
+                     for row in self.matrices[i]]
         self._monomial_matrices[exps] = m
         return m
 
     def poly_matrix(self, p: Polynomial):
-        """Matrix of multiplication by p."""
-        f = self.ring.field
-        zero = f.zero
-        out = [[zero] * self.dim for _ in range(self.dim)]
-        for exps, c in p.terms.items():
-            m = self.monomial_matrix(exps)
-            for r in range(self.dim):
-                mr = m[r]
-                orow = out[r]
-                for j in range(self.dim):
-                    if mr[j]:
-                        orow[j] = f.add(orow[j], f.mul(c, mr[j]))
-        return out
+        """Sparse matrix of multiplication by p."""
+        return sparse_combination(
+            [(c, self.monomial_matrix(exps)) for exps, c in p.terms.items()],
+            self.dim, self.ring.field)
 
     def hilbert_function(self) -> HilbertFunction:
         dims = {}

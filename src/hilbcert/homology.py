@@ -114,16 +114,17 @@ def evaluate(action, images, target: FiniteModule):
     """Values of a batch of homs on one vector, given the vector's `actions`
     and the homs' `image_matrix`: row t holds coordinate t of every value.
     One product serves every hom."""
-    f = target.ring.field
     dim = target.dim
-    stacked = [[] for _ in range(dim)]
-    blocks = []
+    if not images:
+        return [[] for _ in range(dim)]
+    # row t of the action on the flattened images: entry j * dim + b
+    stacked = [{} for _ in range(dim)]
     for j, m in action:
+        offset = j * dim
         for row, m_row in zip(stacked, m):
-            row.extend(m_row)
-        blocks.extend(images[j * dim : (j + 1) * dim])
-    width = len(images[0]) if images else 0
-    return mat_mul(stacked, blocks, width, f)
+            for b, x in m_row.items():
+                row[offset + b] = x
+    return mat_mul(stacked, images, len(images[0]), target.ring.field)
 
 
 def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
@@ -167,12 +168,11 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
                 row = [zero] * len(slots)
                 nz = False
                 for j, m in action:
-                    for b, x in enumerate(m[t]):
-                        if x:
-                            idx = slot_index.get((j, b))
-                            if idx is not None:
-                                row[idx] = f.add(row[idx], x)
-                                nz = True
+                    for b, x in m[t].items():
+                        idx = slot_index.get((j, b))
+                        if idx is not None:
+                            row[idx] = f.add(row[idx], x)
+                            nz = True
                 if nz:
                     rows.append(row)
         for vec in nullspace(rows, len(slots), f):
@@ -292,11 +292,11 @@ class Ext1Space(DegreeCounts):
 
     def __init__(self, syz_hom: HomSpace, image_rows, rel_engine, floor=None):
         self.syz_hom = syz_hom
-        self.image_rows = image_rows  # flattened, with degrees when graded
         self.rel_engine = rel_engine
         self.floor = floor
         f = syz_hom.target.ring.field
-        self.width = syz_hom.source.rank * syz_hom.target.dim
+        width = syz_hom.source.rank * syz_hom.target.dim
+        # the restriction rows: flattened, with degrees when graded
         img_by_deg = _by_degree(image_rows)
         # ungraded data has the single degree None
         by_deg = _by_degree((h.degree, h) for h in syz_hom.elements)
@@ -304,7 +304,7 @@ class Ext1Space(DegreeCounts):
         self.representatives = []
         for d, elems in sorted(by_deg.items()):
             new = independent_modulo(img_by_deg.get(d, []),
-                                     [h.flatten() for h in elems], self.width, f)
+                                     [h.flatten() for h in elems], width, f)
             if new:
                 dims[d] = len(new)
                 self.representatives.extend((d, elems[i]) for i in new)
@@ -380,25 +380,28 @@ def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):
     """Flattened images in Hom(relations, target) of a basis of maps defined
     on the free module of `pres`, given the relations' `actions`, in hom
     degrees >= floor when graded."""
-    f = target.ring.field
+    zero = target.ring.field.zero
     dimn = target.dim
-    # a map sending generator j to basis vector b evaluates on a relation s
-    # as column b of the action matrix of the j-th coordinate of s
-    mats = [dict(action) for action in rel_actions]
+    # a map sending generator j to basis vector b evaluates on relation k
+    # as column b of the action matrix of the j-th coordinate of relation
+    # k: columns[j][b] lists the nonzero (k * dimn + t, value) entries
+    columns = [{} for _ in pres.gen_degrees]
+    for k, action in enumerate(rel_actions):
+        for j, m in action:
+            col = columns[j]
+            for t, m_row in enumerate(m):
+                for b, x in m_row.items():
+                    col.setdefault(b, []).append((k * dimn + t, x))
+    width = len(rel_actions) * dimn
     rows = []
-    zero_block = [f.zero] * dimn
     for j, gdeg in enumerate(pres.gen_degrees):
         for b in range(dimn):
             d = target.degrees[b] - gdeg if pres.homogeneous else None
             if floor is not None and d < floor:
                 continue
-            flat = []
-            for entry in mats:
-                m = entry.get(j)
-                if m is None:
-                    flat.extend(zero_block)
-                else:
-                    flat.extend(m[t][b] for t in range(dimn))
+            flat = [zero] * width
+            for u, x in columns[j].get(b, ()):
+                flat[u] = x
             rows.append((d, flat))
     return rows
 

@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
-Matrices are lists of rows; rows are lists of field elements.  All routines
-are exact.  GF(2) rows are packed into integers and eliminated with xor;
-other prime fields use inline modular arithmetic; QQ is eliminated over
-the integers and divided back into canonical QQ values (ints where
+Matrices are lists of rows.  A dense row is a list of field elements; a
+sparse row is a {column: value} dict of its nonzero entries, the form the
+action matrices of `artinian` take.  All routines are exact.  GF(2) rows
+are packed into integers and eliminated with xor; other prime fields use
+inline modular arithmetic over each pivot row's support; QQ is eliminated
+over the integers and divided back into canonical QQ values (ints where
 integral) only on output.  `rref` alone builds that output: `rank` and
 `independent_modulo` read the pivots of the bare elimination.
 """
@@ -62,14 +64,18 @@ def _eliminate_gfp(rows, ncols, p):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        if inv != 1:
-            m[r] = [x * inv % p for x in m[r]]
         row_r = m[r]
+        # the pivot row is zero before column c: update over its support
+        inv = pow(row_r[c], p - 2, p)
+        support = [(j, y * inv % p) for j, y in enumerate(row_r[c:], c) if y]
+        for j, y in support:
+            row_r[j] = y
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row_r)]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -247,23 +253,63 @@ def matvec(rows, vec, field):
 
 
 def mat_mul(a, b, ncols, field):
-    """Matrix product; a is m x k, b is k x ncols, both lists of rows.
-    Sums are native, and each output row is reduced once: mod p, or over QQ
-    to canonical form, where an integral Fraction sum becomes an int."""
+    """Matrix product; a is m x k, b is k x ncols.  The rows of a are dense
+    or sparse, the rows of b dense; each row of b is read by its nonzero
+    entries, found once per row.  Sums are native, and each output row is
+    reduced once: mod p, or over QQ to canonical form, where an integral
+    Fraction sum becomes an int."""
     p = field.char
+    support = [None] * len(b)
     out = []
     for row in a:
         acc = [0] * ncols
-        for x, bt in zip(row, b):
+        for k, x in row.items() if type(row) is dict else enumerate(row):
             if x:
-                for j, y in enumerate(bt):
-                    if y:
-                        acc[j] += x * y
+                bk = support[k]
+                if bk is None:
+                    bk = support[k] = [(j, y) for j, y in enumerate(b[k]) if y]
+                for j, y in bk:
+                    acc[j] += x * y
         if p:
             out.append([v % p for v in acc])
         else:
             out.append([v if type(v) is int else _norm(v) for v in acc])
     return out
+
+
+def _canonical_rows(rows, field):
+    """Sparse rows of native sums reduced to canonical nonzero values: mod
+    p, or over QQ an int where integral."""
+    p = field.char
+    if p:
+        return [{j: v for j, v in ((j, v % p) for j, v in acc.items()) if v}
+                if acc else acc for acc in rows]
+    return [{j: v if type(v) is int else _norm(v) for j, v in acc.items() if v}
+            if acc else acc for acc in rows]
+
+
+def sparse_mat_mul(a, b, field):
+    """Matrix product of sparse matrices: row r of the result is the sum
+    of x * b[k] over the entries (k, x) of a[r]."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return _canonical_rows(out, field)
+
+
+def sparse_combination(terms, nrows, field):
+    """The sum of c * m over (c, m) in terms, each m a sparse matrix with
+    nrows rows."""
+    out = [{} for _ in range(nrows)]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return _canonical_rows(out, field)
 
 
 def det(matrix, field):

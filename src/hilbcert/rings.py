@@ -69,8 +69,10 @@ class GradedRing:
         return [self.variable(v) for v in self.variables]
 
     def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d."""
+        """All exponent tuples of weighted degree exactly d (none for d < 0)."""
         out = []
+        if d < 0:
+            return out
 
         def rec(i, rest, prefix):
             if i == self.n - 1:

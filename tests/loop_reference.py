@@ -38,6 +38,8 @@
 import heapq
 
 from hilbcert.groebner import ModuleGroebner, _heap_key
+from hilbcert.homology import (Presentation, _restriction_rows, actions,
+                               relation_window)
 from hilbcert.linalg import identity, matvec, nullspace, rank, row_space_basis
 from hilbcert.modules import ModuleVector
 from hilbcert.rings import Polynomial, div_exps, lcm_exps, mul_exps
@@ -369,10 +371,9 @@ def evaluate_polys(polys, images, target):
     for j, p in enumerate(polys):
         if p.is_zero():
             continue
-        img = matvec(target.poly_matrix(p), images[j], f)
-        for t, x in enumerate(img):
-            if x != f.zero:
-                out[t] = f.add(out[t], x)
+        for t, row in enumerate(target.poly_matrix(p)):
+            for b, x in row.items():
+                out[t] = f.add(out[t], f.mul(x, images[j][b]))
     return out
 
 
@@ -383,16 +384,30 @@ def _group(pairs):
     return out
 
 
-def ext1_representatives(ext1):
+def restriction_images(ideal, ext1):
+    """(restriction rows, flat width) of `ext1 = ext1_space(ideal, target,
+    floor)`: the images of Hom(free cover, target) in Hom(relations,
+    target), rebuilt from the relations the window keeps."""
+    pres = Presentation.of_ideal(ideal)
+    target = ext1.syz_hom.target
+    _, _, kept = relation_window(pres, target, ext1.floor)
+    rows = _restriction_rows(
+        pres, [actions(pres.relations[i].coordinates(), target) for i in kept],
+        target, ext1.floor)
+    return rows, len(kept) * target.dim
+
+
+def ext1_representatives(ideal, ext1):
     """(degree, hom element) representatives of Ext^1, per degree in
     increasing order, chosen by the greedy loop."""
     f = ext1.syz_hom.target.ring.field
-    img_by_deg = _group(ext1.image_rows)
+    image_rows, width = restriction_images(ideal, ext1)
+    img_by_deg = _group(image_rows)
     by_deg = _group((h.degree, h) for h in ext1.syz_hom.elements)
     reps = []
     for d, elems in sorted(by_deg.items()):
         kept = independent_greedy(img_by_deg.get(d, []),
-                                  [h.flatten() for h in elems], ext1.width, f)
+                                  [h.flatten() for h in elems], width, f)
         reps.extend((d, elems[i]) for i in kept)
     return reps
 
@@ -402,11 +417,11 @@ def t2_dims(ideal, target, ext1, syz_engine):
     syzygies: rank(kernel + image) - rank(image), with the kernel's
     vectors summed entry by entry."""
     f = ideal.ring.field
-    width = ext1.width
+    image_rows, width = restriction_images(ideal, ext1)
     koszul_lifts = [syz_engine.normal_form(v)[1] for v in ideal.koszul_vectors()]
-    img_by_deg = _group(ext1.image_rows)
+    img_by_deg = _group(image_rows)
     dims = {}
-    for d, reps in sorted(_group(ext1_representatives(ext1)).items()):
+    for d, reps in sorted(_group(ext1_representatives(ideal, ext1)).items()):
         img = img_by_deg.get(d, [])
         candidates = [h.flatten() for h in reps] + img
         eval_rows = []

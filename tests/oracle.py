@@ -48,22 +48,25 @@ def project(vec, basis, pivots, field):
     return [v[j] for j in range(len(v)) if j not in pivot_set]
 
 
-def quotient_dims(ring, gens, top):
+def quotient_dims(ring, gens, top, pieces=None):
     """Hilbert function of S/I in degrees 0..top, as a list."""
+    pieces = pieces or _Pieces(ring, gens)
     out = []
     for e in range(top + 1):
-        mons, _, basis, _ = ideal_piece(ring, gens, e)
+        mons, _, basis, _ = pieces.ideal(e)
         out.append(len(mons) - len(basis))
     return out
 
 
-def socle_degree(ring, gens, limit=64):
+def socle_degree(ring, gens, limit=64, pieces=None):
     """Largest e with (S/I)_e nonzero; raises if the quotient is not finite
-    within the search limit."""
+    within the search limit.  `pieces` may pass in the caller's `_Pieces`
+    of the same ideal, so that each I_e is eliminated once."""
+    pieces = pieces or _Pieces(ring, gens)
     last = -1
     streak = 0
     for e in range(limit):
-        mons, _, basis, _ = ideal_piece(ring, gens, e)
+        mons, _, basis, _ = pieces.ideal(e)
         if len(mons) > len(basis):
             last = e
             streak = 0
@@ -152,7 +155,7 @@ def _hom_dim(pieces, source, e_min, d, socle):
     e_max = socle - d
     if e_max < e_min:
         return 0
-    src = {e: source(e) for e in range(e_min, e_max + 2)}
+    src = {e: source(e) for e in range(e_min, e_max + 1)}
     # N_t for 0 <= t <= socle: rref data of I_t and the monomials of the
     # non-pivot columns, a basis of N_t
     quots = {}
@@ -214,42 +217,49 @@ def _hom_dim(pieces, source, e_min, d, socle):
 
 def sparse_rank(rows, field):
     """Rank of sparse rows (column -> coefficient dicts) by Gaussian
-    elimination that keeps each pivot row under its largest column."""
-    zero = field.zero
+    elimination that keeps each pivot row under its largest column.  The
+    arithmetic is native: reduced mod p over GF(p), exact over QQ."""
+    p = field.char
     pivots = {}
     for row in rows:
-        row = {u: x for u, x in row.items() if x != zero}
+        row = {u: x % p if p else x for u, x in row.items()}
+        row = {u: x for u, x in row.items() if x}
         while row:
             col = max(row)
             known = pivots.get(col)
             if known is None:
                 inv = field.inv(row[col])
-                pivots[col] = {u: field.mul(inv, x) for u, x in row.items()}
+                pivots[col] = [(u, x * inv % p if p else x * inv)
+                               for u, x in row.items()]
                 break
             c = row[col]
-            for u, x in known.items():
-                val = field.sub(row.get(u, zero), field.mul(c, x))
-                if val == zero:
-                    row.pop(u, None)
-                else:
+            get = row.get
+            for u, x in known:
+                val = get(u, 0) - c * x
+                if p:
+                    val %= p
+                if val:
                     row[u] = val
+                else:
+                    # c * x is nonzero, so a zero sum had an entry to cancel
+                    del row[u]
     return len(pivots)
 
 
 def hom_dim(ring, gens, d, socle=None, pieces=None):
     """dim of the degree-d part of Hom_S(I, S/I) for a homogeneous ideal I."""
+    pieces = pieces or _Pieces(ring, gens)
     if socle is None:
-        socle = socle_degree(ring, gens)
+        socle = socle_degree(ring, gens, pieces=pieces)
     gen_degs = [g.degree() for g in gens if not g.is_zero()]
     if not gen_degs:
         return 0
-    pieces = pieces or _Pieces(ring, gens)
     return _hom_dim(pieces, pieces.ideal_source, min(gen_degs), d, socle)
 
 
 def hom_dims(ring, gens, dmin, dmax):
-    socle = socle_degree(ring, gens)
     pieces = _Pieces(ring, gens)
+    socle = socle_degree(ring, gens, pieces=pieces)
     return {d: hom_dim(ring, gens, d, socle=socle, pieces=pieces)
             for d in range(dmin, dmax + 1)}
 
@@ -259,10 +269,10 @@ def ext1_dims(ring, gens, dmin, dmax):
     0 -> Hom(I, N) -> Hom(F, N) -> Hom(K, N) -> Ext^1(I, N) -> 0 of
     0 -> K -> F -> I -> 0, F the free module on the generators and N = S/I:
     dim Ext^1_d = dim Hom(K, N)_d - dim Hom(F, N)_d + dim Hom(I, N)_d."""
-    socle = socle_degree(ring, gens)
-    n_dims = quotient_dims(ring, gens, socle)
-    degs = [g.degree() for g in gens]
     pieces = _Pieces(ring, gens)
+    socle = socle_degree(ring, gens, pieces=pieces)
+    n_dims = quotient_dims(ring, gens, socle, pieces=pieces)
+    degs = [g.degree() for g in gens]
     out = {}
     for d in range(dmin, dmax + 1):
         hom_f = sum(n_dims[a + d] for a in degs if 0 <= a + d <= socle)

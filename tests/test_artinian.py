@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_zero_dim_ideal, rng_for
+from conftest import random_poly, random_zero_dim_ideal, rng_for
 from hilbcert.artinian import (
     ArtinianQuotient,
     FiniteModule,
@@ -156,8 +156,63 @@ def test_monomial_matrix_memoization_consistency():
     x, y = q.ring.gens()
     p = x**2 * y
     direct = loop_reference.act(q, p, q.poly_vector(q.ring.one))
-    via_matrix = [row[q.index[(0, 0)]] for row in q.poly_matrix(p)]
+    via_matrix = [row.get(q.index[(0, 0)], 0) for row in q.poly_matrix(p)]
     assert direct == via_matrix
+
+
+def _dense_product(a, b, field):
+    return [[_dot(row, [b[k][j] for k in range(len(b))], field)
+             for j in range(len(b[0]))] for row in a]
+
+
+def _dot(u, v, field):
+    acc = field.zero
+    for x, y in zip(u, v):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def _dense_poly_matrix(module, p):
+    """p acting on `module`, summed from dense products of the variable
+    matrices in field arithmetic."""
+    f = module.ring.field
+    n = module.dim
+    out = [[f.zero] * n for _ in range(n)]
+    for exps, c in p.terms.items():
+        m = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                m = _dense_product(module.matrices[i], m, f)
+        out = [[f.add(x, f.mul(c, y)) for x, y in zip(orow, mrow)]
+               for orow, mrow in zip(out, m)]
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ])
+def test_sparse_poly_matrix_matches_dense_product(field):
+    """Each `poly_matrix` row holds exactly the nonzero entries of the dense
+    product, with constant terms, repeated monomials (memoized) and
+    weighted variables."""
+    rng = rng_for(4400 + field.char)
+    ideals = [random_zero_dim_ideal(rng, field=field, homogeneous=h)
+              for h in (True, True, False)]
+    ideals.append(_ideal(("x - y^3", "y^4", "x*z", "z^2"), ("x", "y", "z"),
+                         field, (3, 1, 2)))
+    checked = 0
+    for ideal in ideals:
+        q = ArtinianQuotient(ideal)
+        ring = ideal.ring
+        polys = [ring.one, ring.zero] + list(ideal.gens)
+        polys += [random_poly(ring, rng, max_degree=4) + ring.const(rng.randrange(3))
+                  for _ in range(4)]
+        for p in polys * 2:
+            dense = _dense_poly_matrix(q, p)
+            sparse = q.poly_matrix(p)
+            assert [{j: x for j, x in enumerate(row) if x} for row in dense] == sparse
+            assert all(type(x) is not Fraction or x.denominator > 1
+                       for row in sparse for x in row.values())
+            checked += any(sparse)
+    assert checked >= 20
 
 
 def test_qq_action_matrices_hold_integers():
@@ -168,7 +223,8 @@ def test_qq_action_matrices_hold_integers():
     assert general
     q = ArtinianQuotient(ideal)
     hom = hom_space(Presentation.of_ideal(ideal), q)
-    matrices = [m for action in hom.actions for _, m in action] + q.matrices
-    cells = [x for m in matrices for row in m for x in row]
-    assert len(cells) > 1000 and any(cells)
-    assert not any(isinstance(x, Fraction) for x in cells)
+    values = [x for action in hom.actions for _, m in action
+              for row in m for x in row.values()]
+    cells = [x for m in q.matrices for row in m for x in row]
+    assert len(values) >= 100 and all(values) and any(cells)
+    assert not any(isinstance(x, Fraction) for x in values + cells)

@@ -249,7 +249,7 @@ def test_ext1_and_t2_match_greedy_rank_loop(field):
                                       homogeneous=seed % 2 == 0)
         q = ArtinianQuotient(ideal)
         ext1 = ext1_space(ideal, q)
-        expected = loop_reference.ext1_representatives(ext1)
+        expected = loop_reference.ext1_representatives(ideal, ext1)
         assert [(d, id(h)) for d, h in ext1.representatives] == [
             (d, id(h)) for d, h in expected
         ], str(ideal.gens)

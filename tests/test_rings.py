@@ -85,6 +85,16 @@ def test_monomials_of_degree():
     assert set(rw.monomials_of_degree(4)) == {(2, 0), (1, 2), (0, 4)}
 
 
+@pytest.mark.parametrize("names, weights", [
+    (["x"], None), (["x"], (3,)), (["x", "y"], None), (["x", "y", "z"], (2, 1, 3)),
+])
+def test_monomials_of_negative_degree_are_none(names, weights):
+    r = GradedRing(names, weights, QQ)
+    assert r.monomials_of_degree(0) == [(0,) * len(names)]
+    for d in (-1, -2, -3, -6):
+        assert r.monomials_of_degree(d) == []
+
+
 def test_exponent_helpers():
     assert mul_exps((1, 2), (3, 0)) == (4, 2)
     assert div_exps((4, 2), (3, 0)) == (1, 2)
