@@ -141,6 +141,9 @@ def build_entry(name: str, e=None, t=None) -> GallerySpec:
                     "pair_surjectivity": True,
                 }
             )
+        if e in (4, 5):
+            expected.update({"pair_dimension": formulas["dimension"],
+                             "pair_surjectivity": True})
         if formulas is not None:
             expected["dimension_formula"] = formulas["dimension"]
         return GallerySpec(f"re-{e}" if name == "re" else "cevv143", ideal,

@@ -12,6 +12,8 @@ part of the source into the degree-(e+d) part of the target.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .artinian import ArtinianQuotient, FiniteModule, series_string, submodule
 from .groebner import IdealPresentation, ModuleGroebner
 from .linalg import independent_modulo, left_nullspace, mat_mul, nullspace, rank
@@ -151,33 +153,37 @@ def hom_space(pres: Presentation, target: FiniteModule, floor=None) -> HomSpace:
                         max(tdegs) - min(pres.gen_degrees) + 1)
     else:
         degrees = []
+    # the target basis by degree; ungraded data has the single degree None
+    basis = (_by_degree((t, b) for b, t in enumerate(tdegs))
+             if pres.homogeneous else {None: range(dimn)})
     elements = []
     for d in degrees:
-        # (generator j, target basis index b) pairs a degree-d hom may use
-        slots = [(j, b) for j in range(r) for b in range(dimn)
-                 if d is None or tdegs[b] == d + pres.gen_degrees[j]]
+        # slot_of[j][b]: the unknown for coordinate b of generator j's image
+        slot_of = []
+        slots = []
+        for j, gdeg in enumerate(pres.gen_degrees):
+            block = basis.get(None if d is None else d + gdeg, ())
+            slot_of.append({b: len(slots) + i for i, b in enumerate(block)})
+            slots.extend((j, b) for b in block)
         if not slots:
             continue
-        slot_index = {s: i for i, s in enumerate(slots)}
+        # one row {slot: native sum} per relation and target coordinate
         rows = []
         for delta, action in zip(rel_degrees, rel_actions):
-            targets = range(dimn) if d is None else [
-                t for t in range(dimn) if tdegs[t] == d + delta
-            ]
-            for t in targets:
-                row = [zero] * len(slots)
-                nz = False
+            for t in basis.get(None if d is None else d + delta, ()):
+                row = {}
                 for j, m in action:
+                    at = slot_of[j].get
                     for b, x in m[t].items():
-                        idx = slot_index.get((j, b))
+                        idx = at(b)
                         if idx is not None:
-                            row[idx] = f.add(row[idx], x)
-                            nz = True
-                if nz:
+                            row[idx] = row.get(idx, 0) + x
+                if row:
                     rows.append(row)
         for vec in nullspace(rows, len(slots), f):
             images = [[zero] * dimn for _ in range(r)]
-            for i, (j, b) in enumerate(slots):
+            for i in compress(count(), vec):
+                j, b = slots[i]
                 images[j][b] = vec[i]
             elements.append(HomElement(d, images))
     return HomSpace(pres, target, elements, rel_actions)
@@ -296,7 +302,7 @@ class Ext1Space(DegreeCounts):
         self.floor = floor
         f = syz_hom.target.ring.field
         width = syz_hom.source.rank * syz_hom.target.dim
-        # the restriction rows: flattened, with degrees when graded
+        # the sparse restriction rows, with degrees when graded
         img_by_deg = _by_degree(image_rows)
         # ungraded data has the single degree None
         by_deg = _by_degree((h.degree, h) for h in syz_hom.elements)
@@ -379,8 +385,8 @@ def ext1_space(ideal: IdealPresentation, target: FiniteModule, floor=None):
 def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):
     """Flattened images in Hom(relations, target) of a basis of maps defined
     on the free module of `pres`, given the relations' `actions`, in hom
-    degrees >= floor when graded."""
-    zero = target.ring.field.zero
+    degrees >= floor when graded: (degree, sparse row) pairs, the row's
+    column k * dim + t coordinate t of the value on relation k."""
     dimn = target.dim
     # a map sending generator j to basis vector b evaluates on relation k
     # as column b of the action matrix of the j-th coordinate of relation
@@ -392,17 +398,13 @@ def _restriction_rows(pres: Presentation, rel_actions, target, floor=None):
             for t, m_row in enumerate(m):
                 for b, x in m_row.items():
                     col.setdefault(b, []).append((k * dimn + t, x))
-    width = len(rel_actions) * dimn
     rows = []
     for j, gdeg in enumerate(pres.gen_degrees):
         for b in range(dimn):
             d = target.degrees[b] - gdeg if pres.homogeneous else None
             if floor is not None and d < floor:
                 continue
-            flat = [zero] * width
-            for u, x in columns[j].get(b, ()):
-                flat[u] = x
-            rows.append((d, flat))
+            rows.append((d, dict(columns[j].get(b, ()))))
     return rows
 
 

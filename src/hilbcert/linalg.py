@@ -1,216 +1,204 @@
 """Exact linear algebra over a coefficient field.
 
 Matrices are lists of rows.  A dense row is a list of field elements; a
-sparse row is a {column: value} dict of its nonzero entries, the form the
-action matrices of `artinian` take.  All routines are exact.  GF(2) rows
-are packed into integers and eliminated with xor; other prime fields use
-inline modular arithmetic over each pivot row's support; QQ is eliminated
-over the integers and divided back into canonical QQ values (ints where
-integral) only on output.  `rref` alone builds that output: `rank` and
-`independent_modulo` read the pivots of the bare elimination.
+sparse row is a {column: value} dict, the form the action matrices of
+`artinian` and the Hom constraints of `homology` take.  All routines are
+exact.  There is one elimination, `_eliminate`, and it is sparse: it reads
+only the nonzero entries of dense or sparse rows, in any mix, and inserts
+the rows one at a time into an echelon keyed by each row's lowest column.
+GF(2) rows are packed into integers and reduced with xor; other prime
+fields reduce over each pivot row's support; QQ rows are integer rows
+divided by their content, turned back into canonical QQ values (ints where
+integral) only on output.  `rank` is the echelon's length and
+`independent_modulo` reads which rows it kept; `rref` alone back-substitutes
+and writes dense rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 from .fields import _norm
 
 
-def _eliminate_gf2(rows, ncols):
-    """Rows packed into ints (bit j is column j), reduced with xor.  The
-    reduced rows come out in pivot order."""
-    packed = []
-    for row in rows:
-        v = 0
-        for j, x in enumerate(row):
-            if x:
-                v |= 1 << j
-        if v:
-            packed.append(v)
-    out = []
-    pivots = []
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i, v in enumerate(packed):
-            if v & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        pv = packed.pop(piv)
-        packed = [v ^ pv if v & bit else v for v in packed]
-        out = [v ^ pv if v & bit else v for v in out]
-        out.append(pv)
-        pivots.append(c)
-        if not packed:
-            break
-    return out, pivots
+def _entries(row):
+    """(column, value) pairs of a row's nonzero entries; a sparse row may
+    also hold zeros and other non-canonical values, such as native sums."""
+    if type(row) is dict:
+        return row.items()
+    return [(j, row[j]) for j in compress(count(), row)]
 
 
-def _eliminate_gfp(rows, ncols, p):
-    m = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    nrows = len(m)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        # the pivot row is zero before column c: update over its support
-        inv = pow(row_r[c], p - 2, p)
-        support = [(j, y * inv % p) for j, y in enumerate(row_r[c:], c) if y]
-        for j, y in support:
-            row_r[j] = y
-        for i in range(nrows):
-            row = m[i]
+def _primitive(row):
+    """An integer row divided by its content (the empty row stays)."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _reducer(p):
+    """(read, reduce, store) for a prime p > 2, or for QQ when p is 0: a
+    row read as a dict of nonzero entries in the kernel's form; `reduce`
+    cancels a row's entry at column c against the echelon row `known`
+    there, and `store` brings a new echelon row into its kept form."""
+    if p:
+        def read(row):
+            return {j: v for j, v in [(j, x % p) for j, x in _entries(row)] if v}
+
+        def reduce(row, known, c):
             f = row[c]
-            if f and i != r:
-                for j, y in support:
-                    row[j] = (row[j] - f * y) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+            get = row.get
+            for j, y in known.items():
+                v = (get(j, 0) - f * y) % p
+                if v:
+                    row[j] = v
+                else:  # f * y is nonzero, so a zero sum had an entry there
+                    del row[j]
+            return row
 
+        def store(row, c):
+            inv = pow(row[c], p - 2, p)
+            return {j: x * inv % p for j, x in row.items()}
 
-def _eliminate_qq(rows, ncols):
-    """Gauss-Jordan over the integers.  Each row is scaled by the lcm of its
-    denominators and every row built is divided by its content, so that
-    entries stay small.  Row i is the reduced row of pivot i times a
-    nonzero integer."""
-    m = []
-    for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        if not nonzero:
-            continue
-        den = lcm(*[x.denominator for _, x in nonzero])
-        ints = [0] * len(row)
-        for j, x in nonzero:
-            ints[j] = x.numerator * (den // x.denominator)
-        g = gcd(*ints)
-        m.append([x // g for x in ints] if g > 1 else ints)
-    pivots = []
-    r = 0
-    nrows = len(m)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        a = row_r[c]
-        for i in range(nrows):
-            b = m[i][c]
-            if b and i != r:
-                g = gcd(a, b)
-                fa, fb = a // g, b // g
-                new = [fa * x - fb * y for x, y in zip(m[i], row_r)]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+        return read, reduce, store
+
+    def read(row):
+        items = [(j, x) for j, x in _entries(row) if x]
+        den = lcm(*[x.denominator for _, x in items])
+        return _primitive({j: x.numerator * (den // x.denominator)
+                           for j, x in items})
+
+    def reduce(row, known, c):
+        a, b = known[c], row[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {j: a * x for j, x in row.items()}
+        get = row.get
+        for j, y in known.items():
+            v = get(j, 0) - b * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        return _primitive(row)
+
+    def store(row, c):
+        return row
+
+    return read, reduce, store
 
 
 def _eliminate(rows, ncols, field):
-    """The elimination alone: (working rows, pivot columns), the rows in
-    the kernel's own form (packed ints for GF(2), integer multiples of the
-    reduced rows for QQ)."""
-    if not rows:
-        return [], []
+    """The one elimination: (echelon, kept).  `echelon` maps each pivot
+    column to a row whose lowest column it is, in the kernel's form: a
+    packed int for GF(2) (bit j is column j), a dict with a one at the
+    pivot for GF(p), a dict of coprime ints for QQ.  `kept` lists the
+    indices of the rows independent of the rows before them.  Only nonzero
+    entries are read; `ncols` is the width the rows have."""
+    echelon = {}
+    kept = []
     p = field.char
     if p == 2:
-        return _eliminate_gf2(rows, ncols)
-    if p:
-        return _eliminate_gfp(rows, ncols, p)
-    return _eliminate_qq(rows, ncols)
+        for i, row in enumerate(rows):
+            v = 0
+            for j, x in _entries(row):
+                if x % 2:
+                    v |= 1 << j
+            while v:
+                c = (v & -v).bit_length() - 1
+                known = echelon.get(c)
+                if known is None:
+                    echelon[c] = v
+                    kept.append(i)
+                    break
+                v ^= known
+        return echelon, kept
+    read, reduce, store = _reducer(p)
+    for i, row in enumerate(rows):
+        row = read(row)
+        while row:
+            c = min(row)
+            known = echelon.get(c)
+            if known is None:
+                echelon[c] = store(row, c)
+                kept.append(i)
+                break
+            row = reduce(row, known, c)
+    return echelon, kept
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    work, pivots = _eliminate(rows, ncols, field)
+    """Reduced row echelon form.  Returns (rows, pivot_columns): the
+    echelon back-substituted from the last pivot up, as dense rows."""
+    echelon, _ = _eliminate(rows, ncols, field)
+    pivots = sorted(echelon)
     p = field.char
     if p == 2:
-        return [[(v >> j) & 1 for j in range(ncols)] for v in work], pivots
-    if p:
-        return work, pivots
+        done = 0  # the bits of the pivots already reduced
+        for c in reversed(pivots):
+            v = echelon[c]
+            # a reduced row has no other pivot's bit, so these stay put
+            above = v & done
+            while above:
+                low = above & -above
+                v ^= echelon[low.bit_length() - 1]
+                above ^= low
+            echelon[c] = v
+            done |= 1 << c
+        return [[(echelon[c] >> j) & 1 for j in range(ncols)]
+                for c in pivots], pivots
+    _, reduce, _ = _reducer(p)
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k > c and k in echelon]:
+            row = reduce(row, echelon[k], k)
+        echelon[c] = row
     out = []
-    for row, c in zip(work, pivots):
-        a = row[c]
-        # zero entries stay the int 0 without a division
-        out.append([x and (Fraction(x, a) if x % a else x // a) for x in row])
+    for c in pivots:
+        row = echelon[c]
+        a = row[c]  # one over GF(p)
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x if p else Fraction(x, a) if x % a else x // a
+        out.append(dense)
     return out, pivots
 
 
 def rank(rows, ncols, field) -> int:
-    return len(_eliminate(rows, ncols, field)[1])
+    return len(_eliminate(rows, ncols, field)[0])
 
 
 def nullspace(rows, ncols, field):
     """Basis of {x : M x = 0} for the matrix M with the given rows."""
     red, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero = field.zero
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = field.one
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(red[i][f])
-        basis.append(vec)
-    return basis
+    zero, one, neg = field.zero, field.one, field.neg
+    basis = {}  # one vector per free column, in column order
+    for f in range(ncols):
+        if f not in pivot_set:
+            vec = basis[f] = [zero] * ncols
+            vec[f] = one
+    # a reduced row's entries off its pivot lie in free columns
+    for row, c in zip(red, pivots):
+        for f in compress(count(), row):
+            if f != c:
+                basis[f][c] = neg(row[f])
+    return list(basis.values())
 
 
 def row_space_basis(rows, ncols, field):
     return rref(rows, ncols, field)[0]
 
 
-class _Columns:
-    """The transpose of a list of rows, one column at a time: the
-    elimination's own working copy is then the only full copy of it."""
-
-    def __init__(self, rows, ncols):
-        self.rows = rows
-        self.ncols = ncols
-
-    def __len__(self):
-        return self.ncols
-
-    def __iter__(self):
-        for j in range(self.ncols):
-            yield [row[j] for row in self.rows]
-
-
 def independent_modulo(base, candidates, ncols, field):
     """Indices of the candidates outside the span of `base` and of the
-    candidates before them: a greedy basis of the candidates modulo `base`.
-
-    One elimination of the stacked rows' transpose: its pivot columns are
-    the rows independent of all rows before them.
-    """
-    stack = list(base) + list(candidates)
-    if not stack or not ncols:
-        return []
-    _, pivots = _eliminate(_Columns(stack, ncols), len(stack), field)
+    candidates before them: a greedy basis of the candidates modulo `base`,
+    read off the rows that one elimination of the stacked rows keeps."""
     offset = len(base)
-    return [c - offset for c in pivots if c >= offset]
+    _, kept = _eliminate(list(base) + list(candidates), ncols, field)
+    return [i - offset for i in kept if i >= offset]
 
 
 def solve(rows, ncols, rhs, field):
@@ -253,11 +241,11 @@ def matvec(rows, vec, field):
 
 
 def mat_mul(a, b, ncols, field):
-    """Matrix product; a is m x k, b is k x ncols.  The rows of a are dense
-    or sparse, the rows of b dense; each row of b is read by its nonzero
-    entries, found once per row.  Sums are native, and each output row is
-    reduced once: mod p, or over QQ to canonical form, where an integral
-    Fraction sum becomes an int."""
+    """Matrix product; a is m x k, b is k x ncols.  The rows of a and b are
+    dense or sparse; each row of b is read by its nonzero entries, found
+    once per row.  Sums are native, and each output row is dense and
+    reduced once: mod p, or over QQ, when a sum is a Fraction, to canonical
+    form, where an integral Fraction sum becomes an int."""
     p = field.char
     support = [None] * len(b)
     out = []
@@ -267,13 +255,14 @@ def mat_mul(a, b, ncols, field):
             if x:
                 bk = support[k]
                 if bk is None:
-                    bk = support[k] = [(j, y) for j, y in enumerate(b[k]) if y]
+                    bk = support[k] = _entries(b[k])
                 for j, y in bk:
                     acc[j] += x * y
         if p:
-            out.append([v % p for v in acc])
-        else:
-            out.append([v if type(v) is int else _norm(v) for v in acc])
+            acc = [v % p for v in acc]
+        elif type(sum(acc)) is not int:  # the sum of ints alone is an int
+            acc = [v if type(v) is int else _norm(v) for v in acc]
+        out.append(acc)
     return out
 
 
@@ -335,7 +324,3 @@ def det(matrix, field):
                 ]
     return out
 
-
-def identity(n, field):
-    zero, one = field.zero, field.one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -30,19 +30,27 @@
 - Post-composing homs with a matrix one hom and one generator image at a
   time.  `homology.post_composition`, one product per generator block, must
   agree with it.
-- Gauss-Jordan elimination over QQ in `Fraction` arithmetic (`rref_fraction`).
+- Gauss-Jordan elimination over QQ in `Fraction` arithmetic (`rref_fraction`,
+  and `eliminate_fraction` in the form of `linalg._eliminate`).
   `linalg.rref`, which eliminates QQ rows over the integers, must return the
   same rows and pivots.
 """
 
 import heapq
+from fractions import Fraction
+from math import lcm
 
 from hilbcert.groebner import ModuleGroebner, _heap_key
 from hilbcert.homology import (Presentation, _restriction_rows, actions,
                                relation_window)
-from hilbcert.linalg import identity, matvec, nullspace, rank, row_space_basis
+from hilbcert.linalg import matvec, nullspace, rank, row_space_basis
 from hilbcert.modules import ModuleVector
 from hilbcert.rings import Polynomial, div_exps, lcm_exps, mul_exps
+
+
+def identity(n, field):
+    zero, one = field.zero, field.one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rref_fraction(rows, ncols, field):
@@ -73,6 +81,23 @@ def rref_fraction(rows, ncols, field):
         if r == nrows:
             break
     return m[:r], pivots
+
+
+def eliminate_fraction(rows, ncols, field):
+    """`linalg._eliminate`'s (echelon, kept) over QQ from `rref_fraction`:
+    each reduced row under its pivot column, cleared of denominators (its
+    content is then one, as in the kernel), and the indices of the rows
+    that raise the rank of the rows before them, one elimination each."""
+    kept = []
+    for i in range(len(rows)):
+        if len(rref_fraction(rows[: i + 1], ncols, field)[1]) > len(kept):
+            kept.append(i)
+    red, pivots = rref_fraction(rows, ncols, field)
+    echelon = {}
+    for row, c in zip(red, pivots):
+        den = lcm(*[Fraction(x).denominator for x in row])
+        echelon[c] = {j: int(x * den) for j, x in enumerate(row) if x}
+    return echelon, kept
 
 
 def independent_greedy(base, candidates, ncols, field):
@@ -391,10 +416,16 @@ def restriction_images(ideal, ext1):
     pres = Presentation.of_ideal(ideal)
     target = ext1.syz_hom.target
     _, _, kept = relation_window(pres, target, ext1.floor)
-    rows = _restriction_rows(
-        pres, [actions(pres.relations[i].coordinates(), target) for i in kept],
-        target, ext1.floor)
-    return rows, len(kept) * target.dim
+    width = len(kept) * target.dim
+    rows = []
+    for d, sparse in _restriction_rows(
+            pres, [actions(pres.relations[i].coordinates(), target) for i in kept],
+            target, ext1.floor):
+        flat = [target.ring.field.zero] * width
+        for u, x in sparse.items():
+            flat[u] = x
+        rows.append((d, flat))
+    return rows, width
 
 
 def ext1_representatives(ideal, ext1):

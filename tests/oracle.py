@@ -7,12 +7,194 @@ monomial multiples of its generators, the quotient piece is a complement of
 pivot columns, and a homomorphism of graded degree d is a family of linear
 maps I_e -> (S/I)_{e+d} commuting with multiplication by each variable.
 No Groebner bases or normal forms are involved, so these numbers
-are an independent check on the main library.
+are an independent check on the main library.  The dense elimination
+kernels below are kept here, not imported from `hilbcert.linalg`, so that
+the library's sparse elimination is checked against separate code.
 """
 
 from __future__ import annotations
 
-from hilbcert.linalg import independent_modulo, rref
+from fractions import Fraction
+from math import gcd, lcm
+
+
+# -- dense elimination kernels ---------------------------------------------
+
+
+def _eliminate_gf2(rows, ncols):
+    """Rows packed into ints (bit j is column j), reduced with xor.  The
+    reduced rows come out in pivot order."""
+    packed = []
+    for row in rows:
+        v = 0
+        for j, x in enumerate(row):
+            if x:
+                v |= 1 << j
+        if v:
+            packed.append(v)
+    out = []
+    pivots = []
+    for c in range(ncols):
+        bit = 1 << c
+        piv = None
+        for i, v in enumerate(packed):
+            if v & bit:
+                piv = i
+                break
+        if piv is None:
+            continue
+        pv = packed.pop(piv)
+        packed = [v ^ pv if v & bit else v for v in packed]
+        out = [v ^ pv if v & bit else v for v in out]
+        out.append(pv)
+        pivots.append(c)
+        if not packed:
+            break
+    return out, pivots
+
+
+def _eliminate_gfp(rows, ncols, p):
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    nrows = len(m)
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        # the pivot row is zero before column c: update over its support
+        inv = pow(row_r[c], p - 2, p)
+        support = [(j, y * inv % p) for j, y in enumerate(row_r[c:], c) if y]
+        for j, y in support:
+            row_r[j] = y
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def _eliminate_qq(rows, ncols):
+    """Gauss-Jordan over the integers.  Each row is scaled by the lcm of its
+    denominators and every row built is divided by its content, so that
+    entries stay small.  Row i is the reduced row of pivot i times a
+    nonzero integer."""
+    m = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if not nonzero:
+            continue
+        den = lcm(*[x.denominator for _, x in nonzero])
+        ints = [0] * len(row)
+        for j, x in nonzero:
+            ints[j] = x.numerator * (den // x.denominator)
+        g = gcd(*ints)
+        m.append([x // g for x in ints] if g > 1 else ints)
+    pivots = []
+    r = 0
+    nrows = len(m)
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        a = row_r[c]
+        for i in range(nrows):
+            b = m[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                fa, fb = a // g, b // g
+                new = [fa * x - fb * y for x, y in zip(m[i], row_r)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def _eliminate(rows, ncols, field):
+    """The elimination alone: (working rows, pivot columns), the rows in
+    the kernel's own form (packed ints for GF(2), integer multiples of the
+    reduced rows for QQ)."""
+    if not rows:
+        return [], []
+    p = field.char
+    if p == 2:
+        return _eliminate_gf2(rows, ncols)
+    if p:
+        return _eliminate_gfp(rows, ncols, p)
+    return _eliminate_qq(rows, ncols)
+
+
+def rref(rows, ncols, field):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    work, pivots = _eliminate(rows, ncols, field)
+    p = field.char
+    if p == 2:
+        return [[(v >> j) & 1 for j in range(ncols)] for v in work], pivots
+    if p:
+        return work, pivots
+    out = []
+    for row, c in zip(work, pivots):
+        a = row[c]
+        # zero entries stay the int 0 without a division
+        out.append([x and (Fraction(x, a) if x % a else x // a) for x in row])
+    return out, pivots
+
+
+class _Columns:
+    """The transpose of a list of rows, one column at a time: the
+    elimination's own working copy is then the only full copy of it."""
+
+    def __init__(self, rows, ncols):
+        self.rows = rows
+        self.ncols = ncols
+
+    def __len__(self):
+        return self.ncols
+
+    def __iter__(self):
+        for j in range(self.ncols):
+            yield [row[j] for row in self.rows]
+
+
+def independent_modulo(base, candidates, ncols, field):
+    """Indices of the candidates outside the span of `base` and of the
+    candidates before them: a greedy basis of the candidates modulo `base`.
+
+    One elimination of the stacked rows' transpose: its pivot columns are
+    the rows independent of all rows before them.
+    """
+    stack = list(base) + list(candidates)
+    if not stack or not ncols:
+        return []
+    _, pivots = _eliminate(_Columns(stack, ncols), len(stack), field)
+    offset = len(base)
+    return [c - offset for c in pivots if c >= offset]
+
+
+# -- degree pieces ---------------------------------------------------------
+
+
 
 
 def ideal_piece(ring, gens, e):
@@ -50,7 +232,7 @@ def project(vec, basis, pivots, field):
 
 def quotient_dims(ring, gens, top, pieces=None):
     """Hilbert function of S/I in degrees 0..top, as a list."""
-    pieces = pieces or _Pieces(ring, gens)
+    pieces = _pieces_of(ring, gens, pieces)
     out = []
     for e in range(top + 1):
         mons, _, basis, _ = pieces.ideal(e)
@@ -62,7 +244,7 @@ def socle_degree(ring, gens, limit=64, pieces=None):
     """Largest e with (S/I)_e nonzero; raises if the quotient is not finite
     within the search limit.  `pieces` may pass in the caller's `_Pieces`
     of the same ideal, so that each I_e is eliminated once."""
-    pieces = pieces or _Pieces(ring, gens)
+    pieces = _pieces_of(ring, gens, pieces)
     last = -1
     streak = 0
     for e in range(limit):
@@ -140,6 +322,21 @@ class _Pieces:
             kern, labels, free = syzygy_kernel(self.ring, self.gens, e)
             self._syzygies[e] = (labels, kern, free)
         return self._syzygies[e]
+
+
+_LAST = []  # the `_Pieces` of the ideal asked about last
+
+
+def _pieces_of(ring, gens, pieces=None):
+    """`pieces` when given; else the `_Pieces` of the ideal asked about
+    last, if it is this one (the same ring, equal generators), or new ones.
+    A caller that asks several questions of one ideal without passing its
+    pieces still eliminates each piece once."""
+    if pieces is not None:
+        return pieces
+    if not (_LAST and _LAST[0].ring is ring and _LAST[0].gens == list(gens)):
+        _LAST[:] = [_Pieces(ring, list(gens))]
+    return _LAST[0]
 
 
 def _hom_dim(pieces, source, e_min, d, socle):
@@ -248,7 +445,7 @@ def sparse_rank(rows, field):
 
 def hom_dim(ring, gens, d, socle=None, pieces=None):
     """dim of the degree-d part of Hom_S(I, S/I) for a homogeneous ideal I."""
-    pieces = pieces or _Pieces(ring, gens)
+    pieces = _pieces_of(ring, gens, pieces)
     if socle is None:
         socle = socle_degree(ring, gens, pieces=pieces)
     gen_degs = [g.degree() for g in gens if not g.is_zero()]
@@ -258,7 +455,7 @@ def hom_dim(ring, gens, d, socle=None, pieces=None):
 
 
 def hom_dims(ring, gens, dmin, dmax):
-    pieces = _Pieces(ring, gens)
+    pieces = _pieces_of(ring, gens)
     socle = socle_degree(ring, gens, pieces=pieces)
     return {d: hom_dim(ring, gens, d, socle=socle, pieces=pieces)
             for d in range(dmin, dmax + 1)}
@@ -269,7 +466,7 @@ def ext1_dims(ring, gens, dmin, dmax):
     0 -> Hom(I, N) -> Hom(F, N) -> Hom(K, N) -> Ext^1(I, N) -> 0 of
     0 -> K -> F -> I -> 0, F the free module on the generators and N = S/I:
     dim Ext^1_d = dim Hom(K, N)_d - dim Hom(F, N)_d + dim Hom(I, N)_d."""
-    pieces = _Pieces(ring, gens)
+    pieces = _pieces_of(ring, gens)
     socle = socle_degree(ring, gens, pieces=pieces)
     n_dims = quotient_dims(ring, gens, socle, pieces=pieces)
     degs = [g.degree() for g in gens]

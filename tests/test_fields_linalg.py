@@ -11,7 +11,6 @@ from hilbcert.fields import GF, QQ, field_from_name, field_name
 from hilbcert.linalg import (
     coordinates_in_rows,
     det,
-    identity,
     independent_modulo,
     left_nullspace,
     mat_mul,
@@ -22,7 +21,9 @@ from hilbcert.linalg import (
     solve,
 )
 
-from loop_reference import independent_greedy, rref_fraction
+import oracle
+from loop_reference import (eliminate_fraction, identity, independent_greedy,
+                            rref_fraction)
 
 F7 = GF(7)
 F2 = GF(2)
@@ -227,7 +228,7 @@ def test_integer_kernel_matches_fraction_elimination(monkeypatch):
         got = _qq_questions(rows, ncols, random.Random(i))
         with monkeypatch.context() as m:
             m.setattr(linalg, "rref", rref_fraction)
-            m.setattr(linalg, "_eliminate", rref_fraction)
+            m.setattr(linalg, "_eliminate", eliminate_fraction)
             want = _qq_questions(rows, ncols, random.Random(i))
         assert got == want, (rows, ncols)
         red, pivots = got["rref"]
@@ -319,15 +320,22 @@ def test_rational_field_matches_fraction_arithmetic():
 
 @pytest.mark.parametrize("field", [F2, GF(3), GF(101), QQ])
 def test_pivots_only_elimination_matches_rref(field):
-    """`rank` and `independent_modulo` read the pivots of the bare
-    elimination, without the output rows: they must be the pivots of
-    `rref`, and `independent_modulo` must keep the greedy loop's rows."""
+    """`rank` and `independent_modulo` read the bare elimination, without
+    the output rows: its echelon must sit under the pivots of `rref`, each
+    row under its lowest column, it must keep the greedy loop's rows, and
+    `independent_modulo` must keep them too."""
     rng = random.Random(77 + field.char)
     for _ in range(150):
         ncols = rng.randint(0, 7)
         stack = _random_stack(rng, field, rng.randint(0, 10), ncols)
         _, pivots = rref(stack, ncols, field)
-        assert linalg._eliminate(stack, ncols, field)[1] == pivots
+        echelon, kept = linalg._eliminate(stack, ncols, field)
+        assert sorted(echelon) == pivots
+        for c, row in echelon.items():
+            lowest = ((row & -row).bit_length() - 1 if field.char == 2
+                      else min(row))
+            assert lowest == c
+        assert kept == independent_greedy([], stack, ncols, field)
         assert rank(stack, ncols, field) == len(pivots)
         cut = rng.randint(0, len(stack))
         base, cands = stack[:cut], stack[cut:]
@@ -342,7 +350,9 @@ def test_pivots_only_elimination_matches_rref(field):
 def test_mat_mul_matches_entrywise_sums(field):
     """One product loop for every field: each entry is the field sum of its
     products in the field's own form, and a product over k = 0 gives rows
-    of `ncols` zeros."""
+    of `ncols` zeros.  Dense and sparse rows on either side, with entries
+    as drawn (integral `Fraction`s over QQ) and canonical (QQ rows of ints
+    only, which skip the normalising pass)."""
     rng = random.Random(31 + field.char)
     for _ in range(80):
         m, k, n = (rng.randint(0, 4) for _ in range(3))
@@ -351,11 +361,79 @@ def test_mat_mul_matches_entrywise_sums(field):
         want = [[field.zero] * n for _ in range(m)]
         for i, j, t in itertools.product(range(m), range(n), range(k)):
             want[i][j] = field.add(want[i][j], field.mul(a[i][t], b[t][j]))
-        got = mat_mul(a, b, n, field)
-        assert got == want
-        if field.char:
-            assert all(0 <= x < field.char for row in got for x in row)
-        else:
-            assert _canonical(got)
+        for left, right in itertools.product(
+                *[(x, [[field.of(v) for v in row] for row in x],
+                   [{j: v for j, v in enumerate(row) if v} for row in x])
+                  for x in (a, b)]):
+            got = mat_mul(left, right, n, field)
+            assert got == want
+            if field.char:
+                assert all(0 <= x < field.char for row in got for x in row)
+            else:
+                assert _canonical(got)
     assert mat_mul([[], []], [], 3, field) == [[field.zero] * 3] * 2
     assert mat_mul([], [[field.one]], 1, field) == []
+
+
+def _noncanonical(rng, field, x):
+    """x in another form of the same field element: over GF(p) an int off
+    by a multiple of p, possibly negative; over QQ an integral value as a
+    `Fraction`, such as Fraction(3, 1)."""
+    if field.char:
+        return x + field.char * rng.randint(-2, 2)
+    return Fraction(x) if rng.random() < 0.5 else x
+
+
+def _sparse_corpus(field, seed, count):
+    """(rows, canonical dense rows, ncols): dense rows, {column: value}
+    rows and mixes of both, with zero rows, repeats and combinations,
+    non-canonical values and explicit zeros in the dicts; the empty matrix,
+    zero rows and ncols = 0 first."""
+    rng = random.Random(seed)
+    zero = field.zero
+    yield [], [], 0
+    yield [], [], 5
+    yield [[], {}], [[], []], 0
+    yield [[zero] * 4, {}, {2: field.char or 0}], [[zero] * 4] * 3, 4
+    for _ in range(count):
+        ncols = rng.randint(0, 14)
+        canonical = _random_stack(rng, field, rng.randint(0, 12), ncols)
+        canonical = [[field.of(x) for x in row] for row in canonical]
+        form = rng.choice(["dense", "sparse", "mixed"])
+        rows = []
+        for row in canonical:
+            if form == "dense" or (form == "mixed" and rng.random() < 0.5):
+                rows.append([_noncanonical(rng, field, x) for x in row])
+                continue
+            sparse = {j: _noncanonical(rng, field, x)
+                      for j, x in enumerate(row) if x}
+            for j in range(ncols):
+                if j not in sparse and rng.random() < 0.1:
+                    sparse[j] = 0 if rng.random() < 0.5 else Fraction(0)
+            rows.append(sparse)
+        yield rows, canonical, ncols
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(101), QQ])
+def test_sparse_elimination_matches_dense_reference(field):
+    """`rref`, `rank`, `nullspace` and `independent_modulo` on dense, sparse
+    and mixed rows with non-canonical values equal, entry for entry and type
+    for type, the dense kernels kept in `tests/oracle.py` on the canonical
+    dense rows."""
+    rng = random.Random(4242 + field.char)
+    for rows, canonical, ncols in _sparse_corpus(field, 90 + field.char, 160):
+        red, pivots = oracle.rref(canonical, ncols, field)
+        assert repr(rref(rows, ncols, field)) == repr((red, pivots)), rows
+        assert rank(rows, ncols, field) == len(pivots)
+        want = []
+        for c in (c for c in range(ncols) if c not in pivots):
+            vec = [field.zero] * ncols
+            vec[c] = field.one
+            for row, p in zip(red, pivots):
+                vec[p] = field.neg(row[c])
+            want.append(vec)
+        assert repr(nullspace(rows, ncols, field)) == repr(want)
+        cut = rng.randint(0, len(rows))
+        assert (independent_modulo(rows[:cut], rows[cut:], ncols, field)
+                == oracle.independent_modulo(canonical[:cut], canonical[cut:],
+                                             ncols, field))
