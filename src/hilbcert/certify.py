@@ -44,6 +44,8 @@ VERDICTS = (
 class Check:
     """One named criterion with its exact payload and outcome."""
 
+    __slots__ = ("name", "payload", "passed")
+
     def __init__(self, name, payload, passed):
         self.name = name
         self.payload = payload
@@ -82,6 +84,8 @@ def derive_verdict(checks) -> str:
 
 
 class Certificate:
+    __slots__ = ("fingerprint", "checks", "verdict", "dimension", "elapsed")
+
     def __init__(self, fingerprint, checks, dimension=None, elapsed=None):
         self.fingerprint = fingerprint
         self.checks = list(checks)

@@ -1,16 +1,15 @@
 """Groebner bases over free modules, with lifts and syzygies.
 
-One Buchberger engine handles both ideals (rank-one free module) and
-submodules of shifted free modules.  Every basis element carries a lift
-expressing it in the input generators, and every S-pair that reduces to zero
-yields a syzygy of the input generators (the reduction transcript composed
-with the lifts).  To make the syzygy transcripts a generating set, the input
-generators all stay in the working basis and no S-pair below the degree cap
-is skipped while the basis may still grow.  A graded Artinian ideal sets
-that cap itself, at the regularity bound past which it has no minimal
-syzygy.  From there on its basis is complete and a pair only yields a
-transcript, so the engine trims the transcripts as it records them and
-skips the rest of a degree once the kept syzygies span it.
+A graded Artinian ideal is presented degree by degree with linear algebra
+(`IdealPresentation._present_by_degree`), the Macaulay-matrix view of
+Lazard and of F4.  Other input runs one Buchberger engine, for ideals
+(rank-one free module) and submodules of shifted free modules.  Every basis
+element carries a lift expressing it in the input generators, and every
+S-pair that reduces to zero yields a syzygy of the input generators (the
+reduction transcript composed with the lifts).  To make the syzygy
+transcripts a generating set, the input generators all stay in the working
+basis and no S-pair below the degree cap is skipped while the basis may
+still grow.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import heapq
 from operator import itemgetter
 
+from .linalg import Echelon
 from .modules import FreeModule, ModuleVector
 from .rings import GradedRing, Polynomial, div_exps, lcm_exps, mul_exps
 
@@ -26,54 +26,16 @@ def poly_to_vector(p: Polynomial, module: FreeModule) -> ModuleVector:
     return ModuleVector(module, {(0, e): c for e, c in p.terms.items()})
 
 
-def _echelon_insert(echelon, row, field):
-    """Reduce `row` (a term-id -> coefficient dict, consumed) by the echelon,
-    whose rows sit under their largest term id with coefficient one there.
-    Stores the remainder and returns True unless it is zero."""
-    zero, mul, sub = field.zero, field.mul, field.sub
-    while row:
-        t = max(row)
-        known = echelon.get(t)
-        if known is None:
-            inv = field.inv(row[t])
-            echelon[t] = {u: mul(inv, x) for u, x in row.items()}
-            return True
-        c = row[t]
-        for u, x in known.items():
-            val = sub(row.get(u, zero), mul(c, x))
-            if val == zero:
-                row.pop(u, None)
-            else:
-                row[u] = val
-    return False
-
-
-class _DegreeSpan:
-    """Sparse echelon form of homogeneous vectors of one degree d, started
-    from the degree-d monomial multiples of the kept (degree, vector)
-    pairs; rows sit under their largest term id, terms numbered as first
-    seen.  Its length is its rank."""
-
-    def __init__(self, ring, kept, d):
-        self.degree = d
-        self.field = ring.field
-        self.echelon, self.ids = {}, {}
-        ids = self.ids
-        for kd, k in kept:
-            for m in ring.monomials_of_degree(d - kd):
-                row = {ids.setdefault((c, mul_exps(e, m)), len(ids)): x
-                       for (c, e), x in k.terms.items()}
-                _echelon_insert(self.echelon, row, self.field)
-
-    def __len__(self):
-        return len(self.echelon)
-
-    def add(self, terms):
-        """Insert a degree-d term dict (left as it is); returns whether it
-        lies outside the span."""
-        ids = self.ids
-        row = {ids.setdefault(t, len(ids)): x for t, x in terms.items()}
-        return _echelon_insert(self.echelon, row, self.field)
+def _multiples(ring, kept, d, ids):
+    """Sparse echelon of the degree-d monomial multiples of the kept
+    (degree, vector) pairs, their terms numbered by `ids` (a new term as
+    first seen)."""
+    echelon = Echelon(ring.field)
+    for kd, k in kept:
+        for m in ring.monomials_of_degree(d - kd):
+            echelon.insert({ids.setdefault((c, mul_exps(e, m)), len(ids)): x
+                            for (c, e), x in k.terms.items()})
+    return echelon
 
 
 def minimal_generators(vectors):
@@ -93,12 +55,13 @@ def minimal_generators(vectors):
             raise ValueError("minimal generators need homogeneous vectors")
         decorated.append((degrees.pop(), v))
     decorated.sort(key=itemgetter(0))
-    kept = []
-    span = None
+    kept, degree = [], None
     for d, v in decorated:
-        if span is None or span.degree != d:
-            span = _DegreeSpan(v.module.ring, kept, d)
-        if span.add(v.terms):
+        if d != degree:
+            degree, ids = d, {}
+            span = _multiples(v.module.ring, kept, d, ids)
+        row = {ids.setdefault(t, len(ids)): x for t, x in v.terms.items()}
+        if span.insert(row) is not None:
             kept.append((d, v))
     return [v for _, v in kept]
 
@@ -179,13 +142,9 @@ class ModuleGroebner:
     """Groebner basis of a submodule, with lifts and transcript syzygies.
 
     Attributes:
-      syzygies   -- ModuleVectors over the input generators that generate
-                    their syzygy module (up to max_degree when capped); for
-                    a graded Artinian ideal, a minimal generating set: the
-                    greedy trim (`minimal_generators`) of the transcripts
-                    up to its regularity cap, which the engine sets in
-                    max_degree
-      trimmed    -- whether `syzygies` is that trim already
+      syzygies   -- every transcript syzygy: ModuleVectors over the input
+                    generators that generate their syzygy module (up to
+                    max_degree when capped)
       syzygy_module -- the free module of the syzygies, one component per
                     input vector
       reduced    -- reduced Groebner basis: monic, in increasing lead order,
@@ -205,14 +164,12 @@ class ModuleGroebner:
         self.max_degree = max_degree
         self.syzygy_module = FreeModule(self.ring, [v.degree() for v in self.inputs])
         self.syzygies = []
-        self.trimmed = False
-        self._span = None  # the top degree's trim echelon, once trimming
         self.basis = []
         self.leads = []
         self.lifts = []
         self._run()
         self.reduced, self.reduced_lifts = self._interreduce()
-        del self.inputs, self.basis, self.leads, self.lifts, self._span
+        del self.inputs, self.basis, self.leads, self.lifts
 
     # -- construction -----------------------------------------------------
 
@@ -229,77 +186,10 @@ class ModuleGroebner:
                 self.syzygies.append(self.syzygy_module.basis_vector(j))
                 continue
             counter = self._add(v, self._unit_lift(j), pairs, counter)
-        # a graded ideal looks for a regularity cap at each new pair degree
-        watch = (self.module.shifts == (0,)
-                 and all(v.is_homogeneous() for v in self.inputs))
-        current = None
+        # no pair above max_degree is ever queued
         while pairs:
-            d = pairs[0][0]
-            if d != current:
-                # max_degree only moves here, and no pair above a cap given
-                # up front is ever queued
-                current = d
-                if watch and self._cap_at_regularity(d):
-                    # the basis is complete: every pair left reduces to zero
-                    watch = False
-                    self.syzygies = minimal_generators(self.syzygies)
-                    self.trimmed = True
-                if self.max_degree is not None and d > self.max_degree:
-                    break
-                if self.trimmed:
-                    self._span = _DegreeSpan(
-                        self.ring, [(s.degree(), s) for s in self.syzygies], d)
-                    full = self._syzygy_dim(d)
-            if self.trimmed and len(self._span) == full:
-                # the kept syzygies span Syz_d, so the trim would drop every
-                # transcript the degree's other pairs could give
-                while pairs and pairs[0][0] == d:
-                    heapq.heappop(pairs)
-                continue
             _, _, i, j = heapq.heappop(pairs)
             counter = self._process_pair(i, j, pairs, counter)
-
-    def _cap_at_regularity(self, d):
-        """Lower max_degree once a graded ideal's quotient has vanished.
-
-        Pairs come in increasing degree, so before the first pair of degree d
-        the leads generate the initial ideal below d.  If no monomial of
-        degree d - max_weight .. d - 1 is standard, S/I vanishes from there
-        up (every larger monomial is a multiple of one of those degrees), so
-        the leads generate the whole initial ideal: the basis is complete,
-        each Groebner element has degree <= t + max_weight < d, t the top
-        degree of S/I, and every pair left reduces to zero.  The Koszul
-        complex gives Tor_2(S/I, k)_j = 0 for j > t + w1 + w2 (the two
-        largest weights), so minimal syzygies sit in degrees
-        <= max(t + w1 + w2, largest input degree), and the transcripts up to
-        that cap still generate the syzygy module.
-        Returns whether S/I has vanished: capped, or the unit ideal."""
-        ring = self.ring
-        leads = [e for _, e in self.leads]
-        for t in range(d - 1, -1, -1):
-            if any(all(div_exps(m, e) is None for e in leads)
-                   for m in ring.monomials_of_degree(t)):
-                break
-        else:
-            return True
-        if t >= d - ring.max_weight:
-            return False
-        cap = max(t + sum(sorted(ring.weights)[-2:]),
-                  max(v.degree() for v in self.inputs))
-        if self.max_degree is None or cap < self.max_degree:
-            self.max_degree = cap
-        return True
-
-    def _syzygy_dim(self, d):
-        """dim Syz_d = sum_j dim S_{d - deg g_j} - dim S_d, from
-        0 -> Syz -> F -> I -> 0 with S/I zero in degree d.  Zero and
-        redundant inputs count: they are summands of F."""
-        mons = self.ring.monomials_of_degree
-
-        def dim(k):
-            return len(mons(k)) if k >= 0 else 0
-
-        return sum(dim(d - s) for s in self.syzygy_module.shifts) - dim(d)
 
     def _add(self, v, lift, pairs, counter):
         k = len(self.basis)
@@ -364,12 +254,11 @@ class ModuleGroebner:
 
     def _record_syzygy(self, i, j, qi, ci, qj, cj, quotients):
         """The S-pair reduced to zero: its transcript, composed with the
-        lifts, is a syzygy of the inputs.  Once trimming, it is kept only
-        outside the span of the kept syzygies."""
+        lifts, is a syzygy of the inputs."""
         terms = {(j0, e): c
                  for j0, t in enumerate(self._transcript(i, j, qi, ci, qj, cj, quotients))
                  for e, c in t.items()}
-        if terms and (not self.trimmed or self._span.add(terms)):
+        if terms:
             self.syzygies.append(ModuleVector(self.syzygy_module, terms))
 
     # -- reduced basis ----------------------------------------------------
@@ -428,11 +317,9 @@ class ModuleGroebner:
 class IdealPresentation:
     """An ideal with its reduced Groebner basis, lifts, and first syzygies.
 
-    The generators are kept as given.  The syzygies generate the first-syzygy
-    module: for homogeneous generators they are a minimal generating set
-    (trimmed by the engine from the transcripts up to its regularity cap
-    when the ideal is Artinian), otherwise they are every Groebner
-    transcript syzygy.
+    The generators are kept as given.  A graded Artinian ideal is presented
+    degree by degree, with minimal syzygies.  Other input runs the engine,
+    whose transcript syzygies a graded ideal trims to a minimal set.
     """
 
     def __init__(self, ring: GradedRing, gens):
@@ -444,25 +331,138 @@ class IdealPresentation:
         self.homogeneous = all(g.is_homogeneous() for g in gens)
         self.gen_degrees = [g.degree() for g in gens]
         self.free = FreeModule(ring, (0,))
-        self._engine = ModuleGroebner(
-            self.free, [poly_to_vector(g, self.free) for g in gens]
-        )
-        self.syzygies = self._engine.syzygies
-        self.syzygy_module = self._engine.syzygy_module
+        self.syzygy_module = FreeModule(ring, self.gen_degrees)
+        self._engine = None
+        self._lifting = {}  # degree -> its tagged echelon, once a lift needs it
+        if not (self.homogeneous and self._present_by_degree()):
+            self._engine = ModuleGroebner(
+                self.free, [poly_to_vector(g, self.free) for g in gens]
+            )
+            self.reduced = self._engine.reduced
+            self.syzygies = self._engine.syzygies
         self.trim_syzygies()
+
+    def _tagged_echelon(self, d, kept=(), vanished=False):
+        """(columns, index, labels, echelon) of degree d, `index` mapping
+        each monomial to its place in `columns`.  Row i is m*g_j for
+        labels[i] = (j, m), generators with fewer terms first (so that a
+        syzygy involves few generators), over the monomials of S_d in
+        decreasing order, tagged with a one at column len(columns) +
+        len(labels) - 1 - i: a row that reduces to zero over S_d keeps its
+        own tag as its lowest column, and lands there as a kernel vector of
+        F_d -> S_d.  A row at a pivot of the multiples of the `kept`
+        (degree, syzygy) pairs, echelonized on the tags, is spanned by the
+        rows before it and left out.  None when S/I has `vanished` in
+        degree d and those multiples span dim F_d - dim S_d = dim Syz_d."""
+        ring = self.ring
+        gens, mons = self.gens, ring.monomials_of_degree
+        columns = sorted(mons(d), key=ring.order_key, reverse=True)
+        order = sorted(range(len(gens)), key=lambda j: len(gens[j].terms))
+        labels = [(j, m) for j in order if gens[j]
+                  for m in mons(d - self.gen_degrees[j])]
+        tag = len(columns) + len(labels) - 1
+        span = _multiples(ring, kept, d, {lab: tag - i for i, lab in enumerate(labels)})
+        if vanished and len(span.rows) == len(labels) - len(columns):
+            return None
+        index = {m: c for c, m in enumerate(columns)}
+        echelon = Echelon(ring.field)
+        for i, (j, m) in enumerate(labels):
+            if tag - i not in span.rows:
+                row = {index[mul_exps(e, m)]: x for e, x in gens[j].terms.items()}
+                row[tag - i] = 1
+                echelon.insert(row)
+        return columns, index, labels, echelon
+
+    def _present_by_degree(self):
+        """Present a graded ideal degree by degree; False, having set
+        nothing, when it is not Artinian.  The rows left in a degree span
+        I_d, and their kernel is a complement in Syz_d of the multiples of
+        the syzygies kept below: by graded Nakayama the kernel vectors kept
+        generate minimally.  The pivots below len(columns) are the leads of
+        in(I)_d; one that no lower lead divides is a new reduced Groebner
+        element, its row reduced at the pivots above it.  Once S/I has
+        vanished in max_weight consecutive degrees it vanishes above, and t
+        is its top degree; Tor_2(S/I, k)_j = 0 for j > t + w1 + w2 (the
+        Koszul complex; the two largest weights), so syzygies alone are
+        sought up to max(t + w1 + w2, largest generator degree).  An
+        Artinian ideal generated in degrees <= delta has S/I = 0 above
+        n(delta - 1) (substitute x_i -> x_i^w_i and bound by a complete
+        intersection over the algebraic closure)."""
+        ring = self.ring
+        live = [e for g, e in zip(self.gens, self.gen_degrees) if g]
+        if not live:
+            return False
+        reduced, leads, kept = [], [], []  # kept: (degree, syzygy) pairs
+        last, cap, d = -1, None, 0  # last: the top degree of S/I so far
+        while cap is None or d <= cap:
+            found = self._tagged_echelon(d, kept, cap is not None)
+            if found is not None:
+                columns, _, labels, echelon = found
+                width = len(columns)
+                pivots = sorted(c for c in echelon.rows if c < width)
+                if cap is None:
+                    new = [c for c in pivots
+                           if all(div_exps(columns[c], e) is None for e in leads)]
+                    for c in reversed(new):  # increasing lead order
+                        row = echelon.reduce_at(echelon.rows[c],
+                                                [k for k in pivots if k > c])
+                        reduced.append(ModuleVector(self.free, {
+                            (0, columns[k]): x
+                            for k, x in echelon.values(row, c).items() if k < width}))
+                    leads += [columns[c] for c in new]
+                    if len(pivots) < width:
+                        if d > ring.n * (max(live) - 1):
+                            return False
+                        last = d
+                    elif d - last == ring.max_weight:
+                        cap = max(last + sum(sorted(ring.weights)[-2:]), max(live))
+                tag = width + len(labels) - 1
+                for c in sorted(c for c in echelon.rows if c >= width):
+                    kept.append((d, ModuleVector(self.syzygy_module, {
+                        labels[tag - k]: x
+                        for k, x in echelon.values(echelon.rows[c]).items()})))
+            d += 1
+        self.reduced = reduced
+        self.syzygies = [self.syzygy_module.basis_vector(j)
+                         for j, g in enumerate(self.gens) if not g]
+        self.syzygies += [v for _, v in kept]
+        return True
 
     @property
     def gb(self):
         """The reduced Groebner basis as polynomials."""
-        return [b.coordinate(0) for b in self._engine.reduced]
+        return [b.coordinate(0) for b in self.reduced]
 
     def normal_form(self, p: Polynomial):
-        """(nf, lift) with p - nf = sum(lift_j * gens_j)."""
-        remainder, lift = self._engine.normal_form(poly_to_vector(p, self.free))
-        return remainder.coordinate(0), lift
+        """(nf, lift) with p - nf = sum(lift_j * gens_j).  Built degree by
+        degree, each homogeneous part of p is reduced by its degree's tagged
+        echelon, whose tags record the lift; a column past the tags keeps
+        the row's scale (QQ rows are kept primitive)."""
+        if self._engine is not None:
+            remainder, lift = self._engine.normal_form(poly_to_vector(p, self.free))
+            return remainder.coordinate(0), lift
+        ring = self.ring
+        nf, lift = {}, [{} for _ in self.gens]
+        for d in {ring.degree(e) for e in p.terms}:
+            if d not in self._lifting:
+                self._lifting[d] = self._tagged_echelon(d)
+            columns, index, labels, echelon = self._lifting[d]
+            scale = len(columns) + len(labels)
+            row = {index[e]: x for e, x in p.terms.items()
+                   if ring.degree(e) == d}
+            row[scale] = 1
+            row = echelon.reduce_at(echelon.read(row),
+                                    sorted(c for c in echelon.rows if c < len(columns)))
+            for k, x in echelon.values(row, scale).items():
+                if k < len(columns):
+                    nf[columns[k]] = x
+                elif k < scale:
+                    j, m = labels[scale - 1 - k]
+                    lift[j][m] = ring.field.neg(x)
+        return Polynomial(ring, nf), [Polynomial(ring, t) for t in lift]
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        return vector_normal_form(poly_to_vector(p, self.free), self._engine.reduced)[
+        return vector_normal_form(poly_to_vector(p, self.free), self.reduced)[
             0
         ].coordinate(0)
 
@@ -470,7 +470,7 @@ class IdealPresentation:
         return self.reduce(p).is_zero()
 
     def leading_exponents(self):
-        return [b.leading_term()[1] for b in self._engine.reduced]
+        return [b.leading_term()[1] for b in self.reduced]
 
     def koszul_vectors(self):
         """g_i e_j - g_j e_i over the generators: the trivial syzygies."""
@@ -484,10 +484,11 @@ class IdealPresentation:
         return out
 
     def trim_syzygies(self):
-        """Thin the transcript syzygies of a graded ideal to a minimal
-        generating set, unless the engine trimmed them at its regularity
-        cap; inhomogeneous input keeps every transcript."""
-        if self.homogeneous and not self._engine.trimmed:
+        """Thin the transcript syzygies of a graded ideal that is not
+        Artinian to a minimal generating set; a presentation built degree
+        by degree keeps minimal syzygies already, and inhomogeneous input
+        keeps every transcript."""
+        if self.homogeneous and self._engine is not None:
             # the engine drops its copy too, so the redundant transcripts
             # do not stay alive with the presentation
             self.syzygies = self._engine.syzygies = minimal_generators(self.syzygies)

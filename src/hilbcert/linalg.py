@@ -3,10 +3,10 @@
 Matrices are lists of rows.  A dense row is a list of field elements; a
 sparse row is a {column: value} dict, the form the action matrices of
 `artinian` and the Hom constraints of `homology` take.  All routines are
-exact.  There is one elimination, `_eliminate`, and it is sparse: it reads
-only the nonzero entries of dense or sparse rows, in any mix, and inserts
-the rows one at a time into an echelon keyed by each row's lowest column.
-GF(2) rows are packed into integers and reduced with xor; other prime
+exact.  There is one elimination, `Echelon.insert`, and it is sparse: it
+reads only the nonzero entries of dense or sparse rows, in any mix, and
+inserts the rows one at a time into an echelon keyed by each row's lowest
+column.  GF(2) rows are packed into integers and reduced with xor; other prime
 fields reduce over each pivot row's support; QQ rows are integer rows
 divided by their content, turned back into canonical QQ values (ints where
 integral) only on output.  `rank` is the echelon's length and
@@ -38,10 +38,20 @@ def _primitive(row):
 
 
 def _reducer(p):
-    """(read, reduce, store) for a prime p > 2, or for QQ when p is 0: a
-    row read as a dict of nonzero entries in the kernel's form; `reduce`
-    cancels a row's entry at column c against the echelon row `known`
-    there, and `store` brings a new echelon row into its kept form."""
+    """(read, reduce, store) for GF(p), or for QQ when p is 0: a row read
+    into the kernel's form (a packed int for GF(2), bit j column j, else a
+    dict of nonzero entries); `reduce` cancels a row's entry at column c
+    against the echelon row `known` there, and `store` brings a new
+    echelon row into its kept form."""
+    if p == 2:
+        def read(row):
+            v = 0
+            for j, x in _entries(row):
+                if x % 2:
+                    v |= 1 << j
+            return v
+
+        return read, lambda row, known, c: row ^ known, lambda row, c: row
     if p:
         def read(row):
             return {j: v for j, v in [(j, x % p) for j, x in _entries(row)] if v}
@@ -84,80 +94,87 @@ def _reducer(p):
                 del row[j]
         return _primitive(row)
 
-    def store(row, c):
+    return read, reduce, lambda row, c: row
+
+
+class Echelon:
+    """`rows` maps each pivot column to its row in the kernel's form: a
+    packed int for GF(2), a dict with a one at the pivot for GF(p), a dict
+    of coprime ints for QQ."""
+
+    def __init__(self, field):
+        self.char, self.rows = field.char, {}
+        self.read, self._reduce, self._store = _reducer(field.char)
+        self._low = (lambda v: (v & -v).bit_length() - 1) if field.char == 2 else min
+
+    def insert(self, row):
+        """Reduce a dense or sparse row by the echelon and store what is
+        left under its lowest column, returned (None when nothing is)."""
+        echelon, reduce = self.rows, self._reduce
+        row = self.read(row)
+        low = self._low  # the lowest column
+        while row:
+            c = low(row)
+            known = echelon.get(c)
+            if known is None:
+                echelon[c] = self._store(row, c)
+                return c
+            row = reduce(row, known, c)
+        return None
+
+    def reduce_at(self, row, columns):
+        """A row in the kernel's form (changed in place) reduced at the
+        pivots `columns`, in increasing order (so none comes back; any
+        order when the rows there are themselves reduced)."""
+        for c in columns:
+            if (row >> c & 1) if self.char == 2 else c in row:
+                row = self._reduce(row, self.rows[c], c)
         return row
 
-    return read, reduce, store
+    def values(self, row, c=None):
+        """{column: field value} of a row in the kernel's form, over QQ
+        divided by its entry at column c when c is given (over GF(p) a
+        pivot row, or a row that `reduce_at` was given, is one there)."""
+        if self.char == 2:
+            return {j: 1 for j in range(row.bit_length()) if row >> j & 1}
+        a = 1 if self.char or c is None else row[c]
+        return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in row.items()}
 
 
 def _eliminate(rows, ncols, field):
-    """The one elimination: (echelon, kept).  `echelon` maps each pivot
-    column to a row whose lowest column it is, in the kernel's form: a
-    packed int for GF(2) (bit j is column j), a dict with a one at the
-    pivot for GF(p), a dict of coprime ints for QQ.  `kept` lists the
-    indices of the rows independent of the rows before them.  Only nonzero
-    entries are read; `ncols` is the width the rows have."""
-    echelon = {}
-    kept = []
-    p = field.char
-    if p == 2:
-        for i, row in enumerate(rows):
-            v = 0
-            for j, x in _entries(row):
-                if x % 2:
-                    v |= 1 << j
-            while v:
-                c = (v & -v).bit_length() - 1
-                known = echelon.get(c)
-                if known is None:
-                    echelon[c] = v
-                    kept.append(i)
-                    break
-                v ^= known
-        return echelon, kept
-    read, reduce, store = _reducer(p)
-    for i, row in enumerate(rows):
-        row = read(row)
-        while row:
-            c = min(row)
-            known = echelon.get(c)
-            if known is None:
-                echelon[c] = store(row, c)
-                kept.append(i)
-                break
-            row = reduce(row, known, c)
-    return echelon, kept
+    """(echelon, kept): the `Echelon.rows` of the rows, and the indices of
+    the rows independent of the rows before them; `ncols` is their width."""
+    echelon = Echelon(field)
+    kept = [i for i, row in enumerate(rows) if echelon.insert(row) is not None]
+    return echelon.rows, kept
 
 
 def rref(rows, ncols, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns): the
     echelon back-substituted from the last pivot up, as dense rows."""
-    echelon, _ = _eliminate(rows, ncols, field)
-    pivots = sorted(echelon)
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.insert(row)
+    red = echelon.rows
+    pivots = sorted(red)
     p = field.char
-    if p == 2:
-        done = 0  # the bits of the pivots already reduced
-        for c in reversed(pivots):
-            v = echelon[c]
-            # a reduced row has no other pivot's bit, so these stay put
-            above = v & done
-            while above:
-                low = above & -above
-                v ^= echelon[low.bit_length() - 1]
-                above ^= low
-            echelon[c] = v
-            done |= 1 << c
-        return [[(echelon[c] >> j) & 1 for j in range(ncols)]
-                for c in pivots], pivots
-    _, reduce, _ = _reducer(p)
+    done = 0  # GF(2): the bits of the pivots already reduced
     for c in reversed(pivots):
-        row = echelon[c]
-        for k in [k for k in row if k > c and k in echelon]:
-            row = reduce(row, echelon[k], k)
-        echelon[c] = row
+        row = red[c]
+        # the rows below are reduced, with no other pivot's entry: reducing
+        # at the row's own later pivots brings none back
+        if p == 2:
+            above = row & done
+            later = [k for k in range(above.bit_length()) if above >> k & 1]
+            done |= 1 << c
+        else:
+            later = [k for k in row if k > c and k in red]
+        red[c] = echelon.reduce_at(row, later)
+    if p == 2:
+        return [[(red[c] >> j) & 1 for j in range(ncols)] for c in pivots], pivots
     out = []
     for c in pivots:
-        row = echelon[c]
+        row = red[c]
         a = row[c]  # one over GF(p)
         dense = [0] * ncols
         for j, x in row.items():

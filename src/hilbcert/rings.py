@@ -38,6 +38,7 @@ class GradedRing:
         self.max_weight = max(weights)
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._order_cache = {}
+        self._monomials = {}
 
     # -- monomials ---------------------------------------------------------
 
@@ -69,22 +70,24 @@ class GradedRing:
         return [self.variable(v) for v in self.variables]
 
     def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d (none for d < 0)."""
+        """All exponent tuples of weighted degree exactly d (none for d < 0),
+        as a tuple built once per ring and degree."""
+        if d in self._monomials:
+            return self._monomials[d]
         out = []
-        if d < 0:
-            return out
 
         def rec(i, rest, prefix):
+            w = self.weights[i]
             if i == self.n - 1:
-                w = self.weights[i]
                 if rest % w == 0:
                     out.append(prefix + (rest // w,))
                 return
-            w = self.weights[i]
             for e in range(rest // w + 1):
                 rec(i + 1, rest - e * w, prefix + (e,))
 
-        rec(0, d, ())
+        if d >= 0:
+            rec(0, d, ())
+        self._monomials[d] = out = tuple(out)
         return out
 
     # -- polynomials -------------------------------------------------------

@@ -143,19 +143,27 @@ def candidate_fingerprint(cert) -> str:
     )
 
 
+class _OutcomeIdeal(IdealFile):
+    """An outcome's ideal file, its generators read back from the
+    certificate's fingerprint: a kept outcome holds one copy of them."""
+
+    def __init__(self, ring, cert):
+        self.ring, self._fingerprint = ring, cert.fingerprint
+
+    generators = property(lambda self: self._fingerprint["generators"].split("; "))
+
+
 def _screen_one(shape, seed):
     ideal = random_candidate(shape, seed)
     try:
         cert = elementary_certificate(ideal)
     except (ValueError, ArithmeticError) as exc:
         return {"seed": seed, "error": str(exc)}
-    # the ring and generators, not the presentation: a hit file needs no
-    # more, and an outcome kept for later then holds a few KB, not ~50
     return {
         "seed": seed,
         "verdict": cert.verdict,
         "fingerprint": candidate_fingerprint(cert),
-        "ideal": IdealFile(ideal.ring, ideal.gens),
+        "ideal": _OutcomeIdeal(ideal.ring, cert),
         "certificate": cert,
     }
 
@@ -168,7 +176,6 @@ def screen(shape: CandidateShape, count: int, out_dir=None):
     deduplicated hits when an output directory is given."""
     if count < 0:
         raise ValueError(f"count must be non-negative, not {count}")
-    outcomes = [_screen_one(shape, shape.seed + i) for i in range(count)]
     summary = {
         "count": count,
         "errors": 0,
@@ -178,7 +185,8 @@ def screen(shape: CandidateShape, count: int, out_dir=None):
     }
     hits_by_fp = {}
     log = []
-    for o in outcomes:
+    for i in range(count):
+        o = _screen_one(shape, shape.seed + i)
         if "error" in o:
             summary["errors"] += 1
             log.append(f"seed {o['seed']}: error: {o['error']}")

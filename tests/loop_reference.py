@@ -16,10 +16,10 @@
   maximum over the module order, the lead list rebuilt for each normal
   form, each quotient grown by one polynomial addition per reduction step,
   and transcripts and lifts composed by polynomial products and sums.
-  It also processes every S-pair, where the engine stops a graded
-  Artinian ideal at its regularity cap.  `groebner.ModuleGroebner`, which
-  caches leading terms, keeps its lead list and composes term dicts, must
-  agree with it term for term, on the transcripts up to its cap.
+  `groebner.ModuleGroebner`, which caches leading terms, keeps its lead
+  list and composes term dicts, must agree with it term for term, and a
+  graded Artinian `IdealPresentation`, built degree by degree, must have
+  its reduced basis.
 - Nilpotency of a finite module's variables by shrinking the image span of
   each matrix with one elimination per multiplication.
   `FiniteModule.has_nilpotent_action`, which squares the matrices instead,
@@ -169,21 +169,8 @@ def normal_form_reference(v, basis):
 
 
 class ReferenceGroebner(ModuleGroebner):
-    """The engine with its bookkeeping as it was, and with no regularity
-    cap: every transcript syzygy up to `max_degree`; attributes as
-    `ModuleGroebner`."""
-
-    def _run(self):
-        pairs = []
-        counter = 0
-        for j, v in enumerate(self.inputs):
-            if v.is_zero():
-                self.syzygies.append(self.syzygy_module.basis_vector(j))
-                continue
-            counter = self._add(v, self._unit_lift(j), pairs, counter)
-        while pairs:
-            _, _, i, j = heapq.heappop(pairs)
-            counter = self._process_pair(i, j, pairs, counter)
+    """The engine with its bookkeeping as it was: every transcript syzygy
+    up to `max_degree`; attributes as `ModuleGroebner`."""
 
     def _add(self, v, lift, pairs, counter):
         k = len(self.basis)

@@ -142,9 +142,9 @@ def test_pair_certificate_builds_each_object_once(monkeypatch):
                     monkeypatch.setattr(module, attr, wrapped)
     cert = pair_certificate(m, r, product_degrees=(3, 3))
     assert cert.verdict == "relative-smooth-elementary"
-    # engines: the combined presentation of I_R and J's relations;
-    # quotients: S/I_M and S/I_R; Hom: four per row of the long exact
+    # engines: J's relations only (the combined ideal is graded Artinian,
+    # so its presentation is built degree by degree); quotients: S/I_M and S/I_R; Hom: four per row of the long exact
     # sequence (I_R, I_M, J and J's relations) and Hom(I_M, J)
-    assert counts == {"engines": 2, "quotients": 2, "homs": 9,
+    assert counts == {"engines": 1, "quotients": 2, "homs": 9,
                       "poly_matrix": 2 * per_target
                       + nonzero_coordinates(m.syzygies)}

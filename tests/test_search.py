@@ -8,6 +8,7 @@ import pytest
 from hilbcert.certify import elementary_certificate
 from hilbcert.cli import _load_ideal
 from hilbcert.fields import GF
+from hilbcert.parsing import IdealFile
 from hilbcert import search
 from hilbcert.search import CandidateShape, random_candidate, screen
 
@@ -80,11 +81,17 @@ def test_screen_known_shape_hits_and_persists(tmp_path):
     assert len(index) == summary["distinct_hit_fingerprints"]
     # every persisted hit re-verifies from the stored ideal alone, loaded as
     # `hilbcert certify` loads a file, with as many syzygies as the
-    # candidate it was screened as
+    # candidate it was screened as.  The outcome keeps the generators as
+    # text, and the file holds what the candidate's polynomials print as
     for name in index.values():
         ideal = _load_ideal(str(out / name))
         seed = int(name.rsplit("seed", 1)[1].split(".")[0])
-        assert len(ideal.syzygies) == len(random_candidate(shape, seed).syzygies)
+        candidate = random_candidate(shape, seed)
+        assert len(ideal.syzygies) == len(candidate.syzygies)
+        assert ideal.gens == candidate.gens
+        text = (out / name).read_text()
+        assert text.startswith(
+            IdealFile(candidate.ring, candidate.gens).to_text() + "\n# certificate\n")
         cert = elementary_certificate(ideal)
         assert cert.verdict in ("TNT-elementary", "smooth-elementary")
 
@@ -124,4 +131,4 @@ def test_hunt_outcome_stays_lean(monkeypatch):
         retained = (held - tracemalloc.get_traced_memory()[0]) / count
     finally:
         tracemalloc.stop()
-    assert retained < 8 * 1024
+    assert retained < 3 * 1024
